@@ -7,6 +7,7 @@ back to defaults.  The reference grammar lives in the README.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -152,10 +153,15 @@ def _require_keys(section: dict, allowed: set[str], where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _finite(value) -> bool:
+    # json.loads also yields NaN, +-Infinity and integers beyond float range.
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _get_number(section: dict, key: str, default, where: str) -> float:
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if not _finite(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -180,8 +186,8 @@ def _get_point(section: dict, key: str, default, where: str) -> tuple[float, flo
     if value is None:
         return default
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)):
-        raise ConfigError(f"{where}.{key} must be a pair of numbers, got {value!r}")
+            or not all(_finite(v) for v in value)):
+        raise ConfigError(f"{where}.{key} must be a pair of finite numbers, got {value!r}")
     return float(value[0]), float(value[1])
 
 
@@ -196,8 +202,7 @@ def _parse_world(section: Any) -> WorldConfig:
     else:
         if (not isinstance(box, (list, tuple)) or len(box) != 2
                 or any(not isinstance(corner, (list, tuple)) or len(corner) != 2
-                       or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                              for v in corner)
+                       or not all(_finite(v) for v in corner)
                        for corner in box)):
             raise ConfigError(f"world.box must be [[lox, loy], [hix, hiy]], got {box!r}")
         box_t = ((float(box[0][0]), float(box[0][1])),

@@ -13,12 +13,20 @@ terms with exactly rounded summation (math.fsum).  The result is therefore
 independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.
+
+tree_fields runs block-batched: blocks of targets walk a flattened copy of the
+tree as one level-synchronous numpy frontier.  Every target keeps exactly the
+terms of its own depth-first walk, so the result equals that walk bit for bit
+at every theta, and scratch memory is bounded per block of ~_BLOCK_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import SingularPairError
 from .geometry import Vec2
@@ -27,6 +35,7 @@ from .ntree import Body, NTree
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
 MODES = (MODE_GRAVITY, MODE_COULOMB)
+_BLOCK_TERMS = 8192  # terms one block of targets aims to hold
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,8 +59,8 @@ class KernelParams:
             raise ValueError(f"negative theta: {self.theta}")
         if self.softening < 0:
             raise ValueError(f"negative softening: {self.softening}")
-        if not math.isfinite(self.constant):
-            raise ValueError("kernel constant must be finite")
+        if not all(map(math.isfinite, (self.constant, self.theta, self.softening))):
+            raise ValueError("kernel constant, theta and softening must be finite")
 
 
 def pair_field(source: Body, target: Vec2, params: KernelParams,
@@ -74,32 +83,16 @@ def direct_field(bodies, target_index: int, params: KernelParams) -> Vec2:
     bodies = list(bodies)
     if not 0 <= target_index < len(bodies):
         raise IndexError(f"target index {target_index} out of range")
-    target = bodies[target_index]
-    tx = target.position.x
-    ty = target.position.y
-    const = params.constant
-    eps2 = params.softening * params.softening
-    xs: list[float] = []
-    ys: list[float] = []
-    for i, b in enumerate(bodies):
-        if i == target_index:
-            continue
-        dx = b.position.x - tx
-        dy = b.position.y - ty
-        r2 = dx * dx + dy * dy + eps2
-        if r2 == 0.0:
-            raise SingularPairError(
-                f"bodies {b.id} and {target.id} coincide and softening is 0",
-                pair=(b.id, target.id))
-        w = const * b.charge / (r2 * math.sqrt(r2))
-        xs.append(w * dx)
-        ys.append(w * dy)
-    return Vec2(math.fsum(xs), math.fsum(ys))
+    return _direct(bodies, (target_index,), params)[0]
 
 
 def direct_fields(bodies, params: KernelParams) -> list[Vec2]:
     """Direct field at every body; one quadratic sweep over a plain float table."""
     bodies = list(bodies)
+    return _direct(bodies, range(len(bodies)), params)
+
+
+def _direct(bodies: list[Body], targets, params: KernelParams) -> list[Vec2]:
     px = [b.position.x for b in bodies]
     py = [b.position.y for b in bodies]
     qs = [b.charge for b in bodies]
@@ -108,7 +101,7 @@ def direct_fields(bodies, params: KernelParams) -> list[Vec2]:
     eps2 = params.softening * params.softening
     n = len(bodies)
     out: list[Vec2] = []
-    for j in range(n):
+    for j in targets:
         tx = px[j]
         ty = py[j]
         xs: list[float] = []
@@ -130,70 +123,112 @@ def direct_fields(bodies, params: KernelParams) -> list[Vec2]:
     return out
 
 
+def _flatten(tree: NTree) -> tuple[np.ndarray, ...]:
+    """The tree as columns: non-empty nodes breadth-first, then bodies depth-first.
+
+    Node k's children are rows first .. first + count - 1; body i is row n + i,
+    n being the node count.  Box columns are read with clipping: their row n,
+    an empty box with side2 = -1, stands for every body, so the opening test
+    accepts a body at once.  Node ids are -2; a cancelled node's center is NaN.
+    """
+    order = [(tree.root, 0)] if tree.root.count else []
+    bodies = list(tree.bodies)
+
+    def rows():
+        for node, start in order:
+            first = len(order)
+            for kid in node.children or ():
+                if kid.count:
+                    order.append((kid, start))
+                start += kid.count
+            if node.children is None:
+                bodies[start:start + node.count] = node.bodies
+                first = ~start
+            com = node.center_of_charge or Vec2(math.nan, math.nan)
+            side = max(node.hi_x - node.lo_x, node.hi_y - node.lo_y)
+            yield (node.lo_x, node.lo_y, node.hi_x, node.hi_y, side * side, first,
+                   len(order) - first if first >= 0 else node.count,
+                   com.x, com.y, node.total_charge, -2)
+        yield (math.inf, math.inf, -math.inf, -math.inf, -1.0, 0, 0, 0.0, 0.0, 0.0, -2)
+
+    table = np.fromiter(rows(), "f8,f8,f8,f8,f8,i8,i8,f8,f8,f8,i8")
+    *box, first, count, cx, cy, charge, ids = (table[f] for f in table.dtype.names)
+    first[first < 0] = len(order) + ~first[first < 0]
+    own = (np.fromiter(map(attrgetter(key), bodies), col.dtype, len(bodies))
+           for col, key in zip((cx, cy, charge, ids), ("position.x", "position.y", "charge", "id")))
+    return (np.stack(box), first, count,
+            *(np.concatenate((c[:len(order)], o)) for c, o in zip((cx, cy, charge, ids), own)))
+
+
+def _fields(tree: NTree, targets: list[Vec2], target_ids: list[int],
+            params: KernelParams) -> list[Vec2]:
+    """Fields at targets, in blocks sized from the terms per target of the last block.
+
+    Each (target, row) pair decides and builds its term as its target's
+    depth-first walk does, with the same operations in the same order; numpy
+    rounds them like Python and fuses none, and fsum ignores term order.
+    """
+    box, first, count, cx, cy, charge, ids = _flatten(tree)
+    tx, ty = (np.fromiter(map(attrgetter(a), targets), float, len(targets)) for a in "xy")
+    tid = np.maximum(np.array(target_ids, dtype=np.int64), -1)  # no target owns a node row
+    eps2, th2 = params.softening * params.softening, params.theta * params.theta
+    out: list[Vec2] = []
+    size = 1
+    while len(out) < len(tx):
+        lo, hi = len(out), min(len(out) + size, len(tx))
+        t = np.arange(lo, hi if len(ids) else lo)
+        row = np.zeros(len(t), dtype=np.intp)
+        terms, singular = [(t[:0], np.zeros(0), np.zeros(0))], []
+        while len(t):
+            x, y = tx[t], ty[t]
+            lo_x, lo_y, hi_x, hi_y, side2 = box.take(row, axis=1, mode="clip")
+            inside = (lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y)
+            dx, dy = cx[row] - x, cy[row] - y
+            d2 = dx * dx + dy * dy
+            # s/d < theta without the square root: s^2 < theta^2 * d^2.  It
+            # fails for d = 0 and for the NaN center of a cancelled node.
+            far = ~inside & (side2 < th2 * d2)
+            emit = far & (ids[row] != tid[t])
+            r2 = d2[emit] + eps2
+            den = r2 * np.sqrt(r2)  # 0 when r2 is 0 or so small that r2^1.5 underflows
+            zero = den == 0.0
+            if zero.any():
+                singular.extend(zip(t[emit][zero].tolist(), row[emit][zero].tolist()))
+                den[zero] = 1.0  # any nonzero value: the block raises before summing
+            w = params.constant * charge[row[emit]] / den
+            terms.append((t[emit], w * dx[emit], w * dy[emit]))
+            row = row[~far]
+            n = count[row]
+            t = np.repeat(t[~far], n)
+            row = np.arange(len(t)) + np.repeat(first[row] - np.cumsum(n) + n, n)
+        if singular:
+            k, i = min(singular)  # the lowest target, then its first body depth-first
+            raise SingularPairError(f"body {ids[i]} coincides with the target and softening "
+                                    "is 0", pair=(int(ids[i]), int(tid[k])))
+        owner, xs, ys = (np.concatenate(c) for c in zip(*terms))
+        order = np.argsort(owner, kind="stable")
+        xs, ys = memoryview(xs[order]), memoryview(ys[order])  # fsum reads floats
+        ends = np.cumsum(np.bincount(owner - lo, minlength=hi - lo)).tolist()
+        out.extend(Vec2(math.fsum(xs[a:b]), math.fsum(ys[a:b]))
+                   for a, b in zip([0] + ends, ends))
+        size = max(1, _BLOCK_TERMS * size // max(len(xs), 1))
+        del owner, order, xs, ys  # free the block's sums before the next block's walk
+    return out
+
+
 def tree_field(tree: NTree, target: Vec2, target_id: int,
                params: KernelParams) -> Vec2:
-    """Tree-accelerated field at a point.
+    """Tree-accelerated field at a point; pass target_id -1 for a non-body point.
 
-    Descends from the root in the fixed child order.  Any node (internal or
-    leaf) whose side-to-distance ratio beats theta is collapsed to a single
-    pseudo-body at its center of charge; other internal nodes recurse, and
-    surviving leaves are summed body by body, skipping target_id.  Pass a
-    target_id of -1 when the target point is not a tree body.
-
-    Two kinds of node are never collapsed regardless of theta.  A node whose
-    signed charges cancel has no defined center.  And a node whose box holds
-    the target must open: collapsing it would fold the target's own charge
-    into the monopole, which the distance test alone does not prevent when
-    cancellation pushes the center of charge far from the box.
+    A node whose side-to-distance ratio beats theta collapses to a pseudo-body
+    at its center of charge; other nodes open, and open leaves are summed body
+    by body, skipping target_id.  A node whose charges cancel has no center
+    and always opens, as does one whose box holds the target: with signed
+    charges its far-off center could pass the test and fold in the target.
     """
-    tx = target.x
-    ty = target.y
-    const = params.constant
-    eps2 = params.softening * params.softening
-    th2 = params.theta * params.theta
-    xs: list[float] = []
-    ys: list[float] = []
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if node.count == 0:
-            continue
-        com = node.center_of_charge
-        if (com is not None
-                and not (node.lo_x <= tx <= node.hi_x
-                         and node.lo_y <= ty <= node.hi_y)):
-            dx = com.x - tx
-            dy = com.y - ty
-            d2 = dx * dx + dy * dy
-            side = node.hi_x - node.lo_x
-            h = node.hi_y - node.lo_y
-            if h > side:
-                side = h
-            # s/d < theta without the square root: s^2 < theta^2 * d^2.
-            if d2 > 0.0 and side * side < th2 * d2:
-                w = const * node.total_charge / ((d2 + eps2) * math.sqrt(d2 + eps2))
-                xs.append(w * dx)
-                ys.append(w * dy)
-                continue
-        if node.children is None:
-            for b in node.bodies:
-                if b.id == target_id:
-                    continue
-                dx = b.position.x - tx
-                dy = b.position.y - ty
-                r2 = dx * dx + dy * dy + eps2
-                if r2 == 0.0:
-                    raise SingularPairError(
-                        f"body {b.id} coincides with the target and softening is 0",
-                        pair=(b.id, target_id))
-                w = const * b.charge / (r2 * math.sqrt(r2))
-                xs.append(w * dx)
-                ys.append(w * dy)
-        else:
-            stack.extend(reversed(node.children))
-    return Vec2(math.fsum(xs), math.fsum(ys))
+    return _fields(tree, [target], [target_id], params)[0]
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     """Tree-accelerated field at every tree body, in tree.bodies order."""
-    return [tree_field(tree, b.position, b.id, params) for b in tree.bodies]
+    return _fields(tree, [b.position for b in tree.bodies], [b.id for b in tree.bodies], params)

@@ -9,9 +9,11 @@ data types.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
+from orgtree.errors import SingularPairError
 from orgtree.geometry import AABB, CellCoord, Vec2
 from orgtree.ntree import Body
 
@@ -147,3 +149,61 @@ def collect_bodies(node) -> list[Body]:
     for child in node.children:
         out.extend(collect_bodies(child))
     return out
+
+
+def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:
+    """Barnes-Hut field at a point by a scalar depth-first walk of the tree.
+
+    The reference for the batched tree_field(s): the same opening test, the
+    same term arithmetic, one target at a time.  Descends from the root in
+    the fixed child order.  Any node whose side-to-distance ratio beats theta
+    is collapsed to a pseudo-body at its center of charge, unless its charges
+    cancel or its box holds the target; other internal nodes recurse, and
+    surviving leaves are summed body by body, skipping target_id.
+    """
+    tx = target.x
+    ty = target.y
+    const = params.constant
+    eps2 = params.softening * params.softening
+    th2 = params.theta * params.theta
+    xs: list[float] = []
+    ys: list[float] = []
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.count == 0:
+            continue
+        com = node.center_of_charge
+        if (com is not None
+                and not (node.lo_x <= tx <= node.hi_x
+                         and node.lo_y <= ty <= node.hi_y)):
+            dx = com.x - tx
+            dy = com.y - ty
+            d2 = dx * dx + dy * dy
+            side = node.hi_x - node.lo_x
+            h = node.hi_y - node.lo_y
+            if h > side:
+                side = h
+            # s/d < theta without the square root: s^2 < theta^2 * d^2.
+            if d2 > 0.0 and side * side < th2 * d2:
+                w = const * node.total_charge / ((d2 + eps2) * math.sqrt(d2 + eps2))
+                xs.append(w * dx)
+                ys.append(w * dy)
+                continue
+        if node.children is None:
+            for b in node.bodies:
+                if b.id == target_id:
+                    continue
+                dx = b.position.x - tx
+                dy = b.position.y - ty
+                r2 = dx * dx + dy * dy + eps2
+                if r2 == 0.0:
+                    raise SingularPairError(
+                        f"body {b.id} coincides with the target and softening is 0",
+                        pair=(b.id, target_id))
+                w = const * b.charge / (r2 * math.sqrt(r2))
+                xs.append(w * dx)
+                ys.append(w * dy)
+        else:
+            stack.extend(reversed(node.children))
+    return Vec2(math.fsum(xs), math.fsum(ys))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from orgtree import kernels
 from orgtree.errors import SingularPairError
 from orgtree.geometry import Vec2
 from orgtree.kernels import (MODE_COULOMB, MODE_GRAVITY, KernelParams,
@@ -12,6 +13,7 @@ from orgtree.kernels import (MODE_COULOMB, MODE_GRAVITY, KernelParams,
                              tree_field, tree_fields)
 from orgtree.ntree import Body, build_tree
 from conftest import UNIT_BOX, uniform_bodies, uniform_tree
+from oracles import tree_field_walk
 
 
 def b(i, x, y, charge=1.0):
@@ -35,6 +37,12 @@ class TestParams:
             KernelParams(theta=-0.1)
         with pytest.raises(ValueError):
             KernelParams(softening=-1.0)
+
+    @pytest.mark.parametrize("name", ["theta", "softening", "constant"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            KernelParams(**{name: value})
 
 
 class TestPairField:
@@ -208,3 +216,96 @@ def test_theta_zero_bitwise_on_random_scenes(seed):
     exact = direct_fields(bodies, params)
     fast = tree_fields(tree, params)
     assert all(f == g for f, g in zip(exact, fast))
+
+
+def outcome(fn):
+    """A field's exact bits, or the pair a SingularPairError names."""
+    try:
+        v = fn()
+    except SingularPairError as err:
+        return ("singular", err.pair)
+    return (v.x.hex(), v.y.hex())
+
+
+def oracle_scene(rng, mode, softening, capacity):
+    """Random bodies plus an exactly cancelling +-q pair and, when softened,
+    a pile of coincident bodies that bottoms out at the depth cap."""
+    n = rng.randrange(2, 90)
+    signed = mode == MODE_COULOMB
+    bodies = [b(i, rng.random(), rng.random(),
+                rng.choice([1.0, -1.0, 2.0, -0.5]) if signed else rng.choice([1.0, 2.0]))
+              for i in range(n)]
+    x, y = rng.random(), rng.random()
+    bodies += [b(n, x, y, 3.0), b(n + 1, min(x + 1e-7, 1.0), y, -3.0 if signed else 3.0)]
+    if softening > 0.0:
+        x, y = rng.random(), rng.random()
+        bodies += [b(n + 2 + k, x, y, rng.choice([1.0, 2.0])) for k in range(capacity + 2)]
+    return bodies
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0.3, 0.5, 0.9, 1.0]),
+       st.sampled_from([MODE_GRAVITY, MODE_COULOMB]), st.sampled_from([0.0, 1e-3]),
+       st.sampled_from([1, 3, 10]))
+def test_batched_fields_equal_the_scalar_walk_bitwise(seed, theta, mode, softening,
+                                                      capacity):
+    rng = random.Random(seed)
+    bodies = oracle_scene(rng, mode, softening, capacity)
+    tree = build_tree(bodies, UNIT_BOX, capacity)
+    params = KernelParams(softening=softening, theta=theta, mode=mode)
+    walked = [outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+              for x in tree.bodies]
+    assert [outcome(lambda: tree_field(tree, x.position, x.id, params))
+            for x in tree.bodies] == walked
+    singular = [w for w in walked if w[0] == "singular"]
+    assert outcome(lambda: tree_fields(tree, params)[0]) == (
+        singular[0] if singular else walked[0])
+    if not singular:
+        assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == walked
+    probes = [Vec2(rng.random(), rng.random()), bodies[-1].position,
+              Vec2(1.0, rng.random()), Vec2(1.5, -0.25), Vec2(-3.0, 0.5)]
+    for p in probes:
+        assert outcome(lambda: tree_field(tree, p, -1, params)) == outcome(
+            lambda: tree_field_walk(tree, p, -1, params))
+
+
+def test_block_size_does_not_change_the_bits(monkeypatch):
+    tree, bodies = uniform_tree(300, seed=77, capacity=3)
+    params = KernelParams(theta=0.6)
+    want = [tree_field_walk(tree, x.position, x.id, params) for x in bodies]
+    for terms in (1, 50, 10 ** 9):
+        monkeypatch.setattr(kernels, "_BLOCK_TERMS", terms)
+        got = tree_fields(tree, params)
+        assert [(v.x.hex(), v.y.hex()) for v in got] == [
+            (v.x.hex(), v.y.hex()) for v in want]
+
+
+def test_empty_tree_gives_zero_field():
+    tree = build_tree([], UNIT_BOX, 4)
+    assert tree_fields(tree, KernelParams()) == []
+    assert tree_field(tree, Vec2(0.5, 0.5), -1, KernelParams()) == Vec2(0.0, 0.0)
+
+
+def test_coincident_pair_raises_through_the_batched_sweep():
+    # Ids differ from list positions so the error has to name ids.  Bodies 40
+    # and 150 coincide; the lowest target index is 40, whose walk meets body
+    # 150, so the pair is (id of 150, id of 40) whatever the block layout.
+    rng = random.Random(91)
+    bodies = [b(7 + 3 * i, rng.random(), rng.random()) for i in range(200)]
+    bodies[150] = b(bodies[150].id, bodies[40].position.x, bodies[40].position.y)
+    tree = build_tree(bodies, UNIT_BOX, capacity=4)
+    for theta in (0.0, 0.5, 1.0):
+        with pytest.raises(SingularPairError) as err:
+            tree_fields(tree, KernelParams(theta=theta))
+        assert err.value.pair == (bodies[150].id, bodies[40].id)
+
+
+def test_pair_too_close_for_a_finite_term_is_singular():
+    # r^2 = 1e-220 is positive but r^3 underflows to zero, so the term has no
+    # finite value; the pair is reported instead of an infinite field.
+    bodies = [b(0, 0.0, 0.5), b(1, 1e-110, 0.5)]
+    tree = build_tree(bodies, UNIT_BOX, 4)
+    with pytest.raises(SingularPairError) as err:
+        tree_fields(tree, KernelParams())
+    assert err.value.pair == (1, 0)
+    assert tree_fields(tree, KernelParams(softening=1e-3))[0].x > 0.0

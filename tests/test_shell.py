@@ -378,3 +378,34 @@ class TestCli:
                      "--out", str(blocker)])
         assert code == 3
         assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, where, key, value", [
+    ("field", "kernels", "theta", float("nan")),
+    ("field", "kernels", "softening", float("inf")),
+    ("simulate", "species[0]", "alpha", float("nan")),
+    ("simulate", "species[0]", "max_speed", float("inf")),
+])
+def test_non_finite_config_number_exits_1_naming_its_key(tmp_path, capsys, command,
+                                                         where, key, value):
+    # json.loads accepts the NaN and Infinity tokens that json.dumps writes here.
+    data = json.loads(json.dumps(SMALL_CONFIG))
+    if where == "kernels":
+        data["kernels"] = {key: value}
+    else:
+        data["species"][0][key] = value
+    cfg_path = write_config(tmp_path, data)
+    assert ("NaN" if value != value else "Infinity") in cfg_path.read_text(encoding="utf-8")
+    code = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{where}.{key} must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_box_and_center_are_config_errors():
+    with pytest.raises(ConfigError, match=r"species\[0\]\.center"):
+        config_from_dict({"species": [{"center": [float("nan"), 50.0]}]})
+    with pytest.raises(ConfigError, match=r"world\.box"):
+        config_from_dict({"world": {"box": [[0.0, 0.0], [float("inf"), 1.0]]}})
+    with pytest.raises(ConfigError, match=r"world\.dt"):
+        config_from_dict({"world": {"dt": 10 ** 400}})
