@@ -22,6 +22,18 @@ species' inter-species separation coefficient.  The speed |v'| is clamped to
 max_speed.  All boids read the pre-step state only, then positions advance by
 dt * v' and the tree is rebuilt, so the update is synchronous and independent
 of processing order.
+
+The update runs batched: one tree-pruned radius query (ntree.radius_hits)
+finds every boid's neighbours in the order the scalar query_radius_bodies
+returns them, every term is computed with the same float operations as a
+one-boid-at-a-time loop, and each sum adds its terms in neighbour order from
+0.0 with np.add.accumulate, never pairwise.  The result therefore equals that
+scalar loop bit for bit; the loop itself is kept as the test reference.  A
+pair whose d^3 is 0 (coincident, or so close that it underflows) raises
+ZeroDistanceError for the pair the scalar loop meets first: the lowest boid
+id, its same-species neighbours before the others.  Reflection folds a jump
+of many box widths in closed form, and a non-finite displacement is a
+DynamicsError naming the boid.
 """
 
 from __future__ import annotations
@@ -29,9 +41,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ZeroDistanceError
-from .geometry import AABB, Vec2, ZERO
-from .ntree import Body, NTree, build_tree
+import numpy as np
+
+from .errors import DynamicsError, ZeroDistanceError
+from .geometry import AABB, Vec2
+from .ntree import Body, NTree, build_tree, columns, flatten, radius_hits
 
 COHESION_NORMALIZED = "normalized"
 COHESION_LITERAL = "literal"
@@ -40,6 +54,8 @@ COHESION_MODES = (COHESION_NORMALIZED, COHESION_LITERAL)
 BOUNDARY_REFLECT = "reflect"
 BOUNDARY_WRAP = "wrap"
 BOUNDARY_POLICIES = (BOUNDARY_REFLECT, BOUNDARY_WRAP)
+
+_MAX_FOLDS = 64  # reflections folded one by one before the closed form takes over
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,173 +127,147 @@ def make_world(bodies, params: SimParams, seed: int = 0) -> WorldState:
     return WorldState(bodies=ordered, tree=tree, step=0, seed=seed, params=params)
 
 
-def neighborhood(state: WorldState, j: int, same_species: bool) -> list[int]:
-    """Neighbor ids of body j within its species' radius, j itself excluded.
+def _ordered_sums(owner: np.ndarray, width: int, terms) -> np.ndarray:
+    """Per-owner sums of each term array, added in order from 0.0.
 
-    The radius test is inclusive.  same_species=True keeps neighbors of j's
-    species, False keeps every other species.
+    owner (0 .. width-1) is sorted, so an owner's terms keep their order.  They
+    are laid out as one zero-padded row per owner behind a leading zero
+    column; adding 0.0 never changes a running sum that started at 0.0, and
+    accumulate adds strictly left to right (sum and reduce add pairwise).
+    terms are functions that build the arrays, so one is alive at a time.
     """
-    body = state.by_id[j]
-    radius = state.params.species[body.species].neighbor_radius
-    out = []
-    for i in state.tree.query_radius(body.position, radius):
-        if i == j:
-            continue
-        if (state.by_id[i].species == body.species) == same_species:
-            out.append(i)
+    counts = np.bincount(owner, minlength=width)
+    cols = int(counts.max(initial=0)) + 1
+    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cell = owner * cols + rank + 1
+    grid = np.zeros((width, cols))
+    run = np.empty_like(grid)
+    out = np.empty((len(terms), width))
+    for i, term in enumerate(terms):
+        grid.reshape(-1)[cell] = term()  # the padding stays 0.0
+        out[i] = np.add.accumulate(grid, axis=1, out=run)[:, -1]
     return out
 
 
-def _pair_d2(j: Body, other: Body) -> float:
-    dx = other.position.x - j.position.x
-    dy = other.position.y - j.position.y
-    d2 = dx * dx + dy * dy
-    if d2 == 0.0:
-        raise ZeroDistanceError(
-            f"boids {j.id} and {other.id} occupy the same position",
-            pair=(j.id, other.id))
-    return d2
+@np.errstate(all="ignore")  # like the scalar loop: inf and NaN pass silently
+def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Post-update velocities of every body in id order, or of body j only.
 
-
-def cohesion(j: Body, neighbors: list[Body], mode: str = COHESION_NORMALIZED) -> Vec2:
-    """Pull toward the inverse-square-weighted neighbor centroid.
-
-    Normalized mode returns that centroid minus x_j.  Literal mode skips the
-    normalization and returns sum(x_i / d_i^2) - x_j as written above.
+    Neighbours come from ntree.radius_hits, the batched query_radius_bodies,
+    so every target gets exactly its scalar neighbour list in the same order.
+    Each steering term is built with the same float operations as the scalar
+    loop and summed in neighbour order, so the result equals that loop bit
+    for bit.
     """
-    if mode not in COHESION_MODES:
-        raise ValueError(f"unknown cohesion mode: {mode!r}")
-    if not neighbors:
-        return ZERO
-    sw = 0.0
-    sx = 0.0
-    sy = 0.0
-    for nb in neighbors:
-        w = 1.0 / _pair_d2(j, nb)
-        sw += w
-        sx += w * nb.position.x
-        sy += w * nb.position.y
-    if mode == COHESION_LITERAL:
-        return Vec2(sx - j.position.x, sy - j.position.y)
-    return Vec2(sx / sw - j.position.x, sy / sw - j.position.y)
+    params = state.params
+    flat = flatten(state.tree)
+    keys = "position.x position.y velocity.x velocity.y species"
+    bx, by, bvx, bvy, bsp = columns(flat.bodies, keys)
+    bid, = columns(flat.bodies, "id", np.intp)
+    # Targets in depth-first order keep the neighbourhoods of a chunk alike.
+    if j is None:
+        tx, ty, tvx, tvy, tsp, tid = bx, by, bvx, bvy, bsp, bid
+    else:
+        tx, ty, tvx, tvy, tsp = columns([state.by_id[j]], keys)
+        tid, = columns([state.by_id[j]], "id", np.intp)
 
+    def coef(name: str) -> np.ndarray:  # a species setting per target
+        return np.array([getattr(sp, name) for sp in params.species])[tsp.astype(np.intp)]
 
-def separation(j: Body, neighbors: list[Body], coefficient: float) -> Vec2:
-    """Scaled push away from close neighbors, with inverse-cube weights."""
-    sx = 0.0
-    sy = 0.0
-    for nb in neighbors:
-        d2 = _pair_d2(j, nb)
-        d3 = d2 * math.sqrt(d2)
-        sx += (j.position.x - nb.position.x) / d3
-        sy += (j.position.y - nb.position.y) / d3
-    return Vec2(coefficient * sx, coefficient * sy)
+    # sw, csx, csy, ssx, ssy, asx, asy over the same species; osx, osy over
+    # the others; then the same-species neighbour count.
+    sums = np.zeros((10, len(tx)))
+    singular: list[tuple] = []
+    for a, b, t, nb, d2 in radius_hits(flat, tx, ty, coef("neighbor_radius")):
+        mine = bid[nb] != tid[t]
+        t, nb, d2 = t[mine], nb[mine], d2[mine]
+        other = bsp[nb] - tsp[t]  # nonzero for a neighbour of another species
+        d3 = d2 * np.sqrt(d2)
+        zero = np.flatnonzero(d3 <= 0.0)  # d2 is 0, or so small that d2^1.5 underflows
+        if len(zero):
+            singular.extend(zip(tid[t[zero]].tolist(), (other[zero] != 0).tolist(),
+                                zero.tolist(), bid[nb[zero]].tolist(), d2[zero].tolist()))
+        u = t - a
+        card = np.bincount(u, np.where(other, 0.0, 1.0), minlength=b - a)
+        w = 1.0 / d2
+        aw = 1.0 / (card[u] * d2)
+        sep_x, sep_y = (tx[t] - bx[nb]) / d3, (ty[t] - by[nb]) / d3
+        # Each list's sums skip the other list's terms by adding 0.0 for them.
+        sums[:9, a:b] = _ordered_sums(u, b - a, (
+            lambda: np.where(other, 0.0, w),
+            lambda: np.where(other, 0.0, w * bx[nb]),
+            lambda: np.where(other, 0.0, w * by[nb]),
+            lambda: np.where(other, 0.0, sep_x),
+            lambda: np.where(other, 0.0, sep_y),
+            lambda: np.where(other, 0.0, aw * bvx[nb]),
+            lambda: np.where(other, 0.0, aw * bvy[nb]),
+            lambda: np.where(other, sep_x, 0.0),
+            lambda: np.where(other, sep_y, 0.0)))
+        sums[9, a:b] = card
+    if singular:
+        boid, _, _, near, dist2 = min(singular)  # lowest id, then its same-species list
+        raise ZeroDistanceError(
+            f"boids {boid} and {near} occupy the same position" if dist2 == 0.0 else
+            f"boids {boid} and {near} are too close: distance^3 underflows to 0",
+            pair=(boid, near))
 
-
-def alignment(j: Body, neighbors: list[Body]) -> Vec2:
-    """Average of neighbor velocities, weighted by inverse squared distance."""
-    if not neighbors:
-        return ZERO
-    card = float(len(neighbors))
-    sx = 0.0
-    sy = 0.0
-    for nb in neighbors:
-        w = 1.0 / (card * _pair_d2(j, nb))
-        sx += w * nb.velocity.x
-        sy += w * nb.velocity.y
-    return Vec2(sx, sy)
+    sw, csx, csy, ssx, ssy, asx, asy, osx, osy, card = sums
+    if params.cohesion_mode == COHESION_LITERAL:
+        cx, cy = csx - tx, csy - ty
+    else:
+        cx, cy = csx / sw - tx, csy / sw - ty
+    cx, cy = np.where(card > 0, cx, 0.0), np.where(card > 0, cy, 0.0)
+    alpha, beta, gamma, delta, isg = map(coef, (
+        "alpha", "beta", "gamma", "delta", "inter_species_gamma"))
+    vx = alpha * tvx + beta * cx + gamma * ssx + delta * asx + isg * osx
+    vy = alpha * tvy + beta * cy + gamma * ssy + delta * asy + isg * osy
+    v2 = vx * vx + vy * vy
+    limit = coef("max_speed")
+    fast = v2 > limit * limit
+    scale = limit / np.sqrt(v2)
+    vx, vy = np.where(fast, vx * scale, vx), np.where(fast, vy * scale, vy)
+    # Rounding can leave the rescaled speed an ulp over the cap; nudge
+    # toward zero until the invariant holds exactly.
+    over = np.flatnonzero(vx * vx + vy * vy > limit * limit)
+    while len(over):
+        vx[over] = np.nextafter(vx[over], 0.0)
+        vy[over] = np.nextafter(vy[over], 0.0)
+        over = over[vx[over] * vx[over] + vy[over] * vy[over] > limit[over] * limit[over]]
+    if j is None:  # depth-first to id order, without a numpy sort
+        index = {b.id: k for k, b in enumerate(state.bodies)}
+        rank = np.fromiter(map(index.__getitem__, tid.tolist()), np.intp, len(tid))
+        vx[rank], vy[rank] = vx.copy(), vy.copy()
+    return vx, vy
 
 
 def step_velocity(state: WorldState, j: int) -> Vec2:
     """Post-update velocity of body j, computed from the pre-step state only.
 
-    Equivalent, float for float, to combining the cohesion, separation, and
-    alignment functions above; the loop here just shares one distance
-    computation per neighbor instead of recomputing it per term.
+    A one-target call of the batched update that step_world runs for every
+    boid at once.
     """
-    body = state.by_id[j]
-    sp = state.params.species[body.species]
-    species = body.species
-    same: list[Body] = []
-    other: list[Body] = []
-    for nb in state.tree.query_radius_bodies(body.position, sp.neighbor_radius):
-        if nb.id == j:
-            continue
-        (same if nb.species == species else other).append(nb)
-
-    px = body.position.x
-    py = body.position.y
-    sw = csx = csy = 0.0
-    ssx = ssy = 0.0
-    asx = asy = 0.0
-    card = float(len(same))
-    for nb in same:
-        dx = nb.position.x - px
-        dy = nb.position.y - py
-        d2 = dx * dx + dy * dy
-        if d2 == 0.0:
-            raise ZeroDistanceError(
-                f"boids {body.id} and {nb.id} occupy the same position",
-                pair=(body.id, nb.id))
-        w = 1.0 / d2
-        sw += w
-        csx += w * nb.position.x
-        csy += w * nb.position.y
-        d3 = d2 * math.sqrt(d2)
-        ssx += (px - nb.position.x) / d3
-        ssy += (py - nb.position.y) / d3
-        aw = 1.0 / (card * d2)
-        asx += aw * nb.velocity.x
-        asy += aw * nb.velocity.y
-    if not same:
-        cx = cy = 0.0
-    elif state.params.cohesion_mode == COHESION_LITERAL:
-        cx = csx - px
-        cy = csy - py
-    else:
-        cx = csx / sw - px
-        cy = csy / sw - py
-
-    osx = osy = 0.0
-    for nb in other:
-        dx = nb.position.x - px
-        dy = nb.position.y - py
-        d2 = dx * dx + dy * dy
-        if d2 == 0.0:
-            raise ZeroDistanceError(
-                f"boids {body.id} and {nb.id} occupy the same position",
-                pair=(body.id, nb.id))
-        d3 = d2 * math.sqrt(d2)
-        osx += (px - nb.position.x) / d3
-        osy += (py - nb.position.y) / d3
-
-    vx = (sp.alpha * body.velocity.x + sp.beta * cx + sp.gamma * ssx
-          + sp.delta * asx + sp.inter_species_gamma * osx)
-    vy = (sp.alpha * body.velocity.y + sp.beta * cy + sp.gamma * ssy
-          + sp.delta * asy + sp.inter_species_gamma * osy)
-    v2 = vx * vx + vy * vy
-    limit = sp.max_speed
-    if v2 > limit * limit:
-        scale = limit / math.sqrt(v2)
-        vx *= scale
-        vy *= scale
-        # Rounding can leave the rescaled speed an ulp over the cap; nudge
-        # toward zero until the invariant holds exactly.
-        while vx * vx + vy * vy > limit * limit:
-            vx = math.nextafter(vx, 0.0)
-            vy = math.nextafter(vy, 0.0)
-    return Vec2(vx, vy)
+    vx, vy = _velocities(state, j)
+    return Vec2(float(vx[0]), float(vy[0]))
 
 
 def _reflect(x: float, v: float, lo: float, hi: float) -> tuple[float, float]:
     # Fold back into [lo, hi], negating the velocity component per bounce.
-    while x < lo or x > hi:
-        if x < lo:
-            x = 2.0 * lo - x
-        else:
-            x = 2.0 * hi - x
+    for _ in range(_MAX_FOLDS):
+        if lo <= x <= hi:
+            return x, v
+        x = 2.0 * lo - x if x < lo else 2.0 * hi - x
         v = -v
-    return x, v
+    if lo <= x <= hi:
+        return x, v
+    # A jump across many box widths: fold in closed form.  Reflection is
+    # periodic with period 2 * (hi - lo); the velocity sign flips in the
+    # period's second half.
+    u = math.fmod(x - lo, 2.0 * (hi - lo))
+    if u < 0.0:
+        u += 2.0 * (hi - lo)
+    if u <= hi - lo:
+        return lo + u, v
+    return lo + (2.0 * (hi - lo) - u), -v
 
 
 def _wrap(x: float, lo: float, hi: float) -> float:
@@ -295,23 +285,26 @@ def step_world(state: WorldState) -> WorldState:
     component, wrap translates it periodically.
     """
     params = state.params
-    new_v = [step_velocity(state, b.id) for b in state.bodies]
+    vx, vy = _velocities(state)
+    px, py = columns(state.bodies, "position.x position.y")
+    with np.errstate(over="ignore"):  # an infinite displacement is reported below
+        px, py = px + params.dt * vx, py + params.dt * vy
+    bad = np.flatnonzero(~(np.isfinite(px) & np.isfinite(py)))
+    if len(bad):
+        k = bad[0]
+        raise DynamicsError(f"boid {state.bodies[k].id} moves by a non-finite displacement:"
+                            f" dt {params.dt} times velocity ({vx[k]}, {vy[k]})")
     box = params.box
-    dt = params.dt
     reflect = params.boundary == BOUNDARY_REFLECT
     moved: list[Body] = []
-    for b, v in zip(state.bodies, new_v):
-        x = b.position.x + dt * v.x
-        y = b.position.y + dt * v.y
-        vx = v.x
-        vy = v.y
+    for b, x, y, u, v in zip(state.bodies, px.tolist(), py.tolist(), vx.tolist(), vy.tolist()):
         if reflect:
-            x, vx = _reflect(x, vx, box.lo.x, box.hi.x)
-            y, vy = _reflect(y, vy, box.lo.y, box.hi.y)
+            x, u = _reflect(x, u, box.lo.x, box.hi.x)
+            y, v = _reflect(y, v, box.lo.y, box.hi.y)
         else:
             x = _wrap(x, box.lo.x, box.hi.x)
             y = _wrap(y, box.lo.y, box.hi.y)
-        moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(vx, vy), b.charge))
+        moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(u, v), b.charge))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
     return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,
                       seed=state.seed, params=params)

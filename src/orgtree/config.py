@@ -351,6 +351,8 @@ def load_config(path: str | Path) -> Config:
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal beyond int's digit limit
+        raise ConfigError(f"{path}: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -14,23 +14,23 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.
 
-tree_fields runs block-batched: blocks of targets walk a flattened copy of the
-tree as one level-synchronous numpy frontier.  Every target keeps exactly the
-terms of its own depth-first walk, so the result equals that walk bit for bit
-at every theta, and scratch memory is bounded per block of ~_BLOCK_TERMS terms.
+tree_fields runs block-batched: blocks of targets walk the flat view of the
+tree (ntree.flatten) as one level-synchronous numpy frontier.  Every target
+keeps exactly the terms of its own depth-first walk, so the result equals that
+walk bit for bit at every theta, and scratch memory is bounded per block of
+~_BLOCK_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import SingularPairError
 from .geometry import Vec2
-from .ntree import Body, NTree
+from .ntree import Body, NTree, columns, flatten
 
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
@@ -70,11 +70,14 @@ def pair_field(source: Body, target: Vec2, params: KernelParams,
     dy = source.position.y - target.y
     r2 = dx * dx + dy * dy
     eps2 = params.softening * params.softening
-    if r2 + eps2 == 0.0:
+    r3 = (r2 + eps2) * math.sqrt(r2 + eps2)
+    if r3 == 0.0:  # coincident, or so close that r^3 underflows
         raise SingularPairError(
-            f"source body {source.id} coincides with the target and softening is 0",
+            f"source body {source.id} coincides with the target and softening is 0"
+            if r2 + eps2 == 0.0 else f"source body {source.id} is too close to the "
+            f"target: r^3 underflows to 0 at softening {params.softening}",
             pair=(source.id, target_id if target_id is not None else -1))
-    w = params.constant * source.charge / ((r2 + eps2) * math.sqrt(r2 + eps2))
+    w = params.constant * source.charge / r3
     return Vec2(w * dx, w * dy)
 
 
@@ -112,52 +115,17 @@ def _direct(bodies: list[Body], targets, params: KernelParams) -> list[Vec2]:
             dx = px[i] - tx
             dy = py[i] - ty
             r2 = dx * dx + dy * dy + eps2
-            if r2 == 0.0:
+            r3 = r2 * math.sqrt(r2)
+            if r3 == 0.0:  # coincident, or so close that r^3 underflows
                 raise SingularPairError(
-                    f"bodies {ids[i]} and {ids[j]} coincide and softening is 0",
-                    pair=(ids[i], ids[j]))
-            w = const * qs[i] / (r2 * math.sqrt(r2))
+                    f"bodies {ids[i]} and {ids[j]} coincide and softening is 0" if r2 == 0.0
+                    else f"bodies {ids[i]} and {ids[j]} are too close: r^3 underflows to 0"
+                    f" at softening {params.softening}", pair=(ids[i], ids[j]))
+            w = const * qs[i] / r3
             xs.append(w * dx)
             ys.append(w * dy)
         out.append(Vec2(math.fsum(xs), math.fsum(ys)))
     return out
-
-
-def _flatten(tree: NTree) -> tuple[np.ndarray, ...]:
-    """The tree as columns: non-empty nodes breadth-first, then bodies depth-first.
-
-    Node k's children are rows first .. first + count - 1; body i is row n + i,
-    n being the node count.  Box columns are read with clipping: their row n,
-    an empty box with side2 = -1, stands for every body, so the opening test
-    accepts a body at once.  Node ids are -2; a cancelled node's center is NaN.
-    """
-    order = [(tree.root, 0)] if tree.root.count else []
-    bodies = list(tree.bodies)
-
-    def rows():
-        for node, start in order:
-            first = len(order)
-            for kid in node.children or ():
-                if kid.count:
-                    order.append((kid, start))
-                start += kid.count
-            if node.children is None:
-                bodies[start:start + node.count] = node.bodies
-                first = ~start
-            com = node.center_of_charge or Vec2(math.nan, math.nan)
-            side = max(node.hi_x - node.lo_x, node.hi_y - node.lo_y)
-            yield (node.lo_x, node.lo_y, node.hi_x, node.hi_y, side * side, first,
-                   len(order) - first if first >= 0 else node.count,
-                   com.x, com.y, node.total_charge, -2)
-        yield (math.inf, math.inf, -math.inf, -math.inf, -1.0, 0, 0, 0.0, 0.0, 0.0, -2)
-
-    table = np.fromiter(rows(), "f8,f8,f8,f8,f8,i8,i8,f8,f8,f8,i8")
-    *box, first, count, cx, cy, charge, ids = (table[f] for f in table.dtype.names)
-    first[first < 0] = len(order) + ~first[first < 0]
-    own = (np.fromiter(map(attrgetter(key), bodies), col.dtype, len(bodies))
-           for col, key in zip((cx, cy, charge, ids), ("position.x", "position.y", "charge", "id")))
-    return (np.stack(box), first, count,
-            *(np.concatenate((c[:len(order)], o)) for c, o in zip((cx, cy, charge, ids), own)))
 
 
 def _fields(tree: NTree, targets: list[Vec2], target_ids: list[int],
@@ -168,8 +136,15 @@ def _fields(tree: NTree, targets: list[Vec2], target_ids: list[int],
     depth-first walk does, with the same operations in the same order; numpy
     rounds them like Python and fuses none, and fsum ignores term order.
     """
-    box, first, count, cx, cy, charge, ids = _flatten(tree)
-    tx, ty = (np.fromiter(map(attrgetter(a), targets), float, len(targets)) for a in "xy")
+    flat = flatten(tree)
+    box, first, count = flat.box, flat.first, flat.count
+    n = len(first) - 1
+    # Body i is row n + i: node rows, then body rows (ids -2 for nodes).
+    own = columns(flat.bodies, "position.x position.y charge") + columns(flat.bodies, "id", np.int64)
+    cx, cy, charge, ids = (np.concatenate(c) for c in zip(
+        (flat.cx[:n], flat.cy[:n], flat.charge[:n], np.full(n, -2)), own))
+    del flat, own  # the body list and columns are not needed for the sweep
+    tx, ty = columns(targets, "x y")
     tid = np.maximum(np.array(target_ids, dtype=np.int64), -1)  # no target owns a node row
     eps2, th2 = params.softening * params.softening, params.theta * params.theta
     out: list[Vec2] = []

@@ -9,14 +9,29 @@ exceeds it.  Bodies that coincide or nearly coincide pile up in a leaf at
 
 Child order everywhere is the fixed offset order (0,0), (1,0), (0,1), (1,1),
 which makes traversals, queries, and aggregate sums reproducible bit for bit.
+
+`flatten` gives the batched consumers (Barnes-Hut fields and boids
+neighbourhoods) one shared numpy view of a built tree; `radius_hits` is the
+batched form of `query_radius_bodies` over that view.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
 
 from .geometry import AABB, CellCoord, Vec2, cell_box, child_coords
+
+# Scratch memory of radius_hits is bounded per block of targets and per chunk
+# of a block.  Their widths are powers of two because numpy keeps freed arrays
+# under 1 KiB for reuse, one pool per byte size, so small arrays of ever new
+# sizes would pile up there.
+_BLOCK_PAIRS = 8192  # (target, node) pairs one block's tree walk aims to hold
+_CHUNK_TERMS = 4096  # candidate (target, body) pairs one chunk aims to hold
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,43 +127,18 @@ class NTree:
         return out
 
     def query_radius(self, center: Vec2, radius: float) -> list[int]:
-        """Ids of bodies with distance <= radius from center, boundary inclusive.
-
-        Only nodes whose box touches the disk's bounding square are descended;
-        bodies are then filtered by exact squared distance, so no square root
-        is taken and a body exactly on the radius is always included.
-        """
-        if radius < 0:
-            raise ValueError(f"negative query radius: {radius}")
-        cx = center.x
-        cy = center.y
-        qlo_x = cx - radius
-        qhi_x = cx + radius
-        qlo_y = cy - radius
-        qhi_y = cy + radius
-        r2 = radius * radius
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.count == 0:
-                continue
-            if (node.lo_x > qhi_x or qlo_x > node.hi_x
-                    or node.lo_y > qhi_y or qlo_y > node.hi_y):
-                continue
-            if node.children is None:
-                for b in node.bodies:
-                    p = b.position
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    if dx * dx + dy * dy <= r2:
-                        out.append(b.id)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        """Ids of the bodies query_radius_bodies returns, in the same order."""
+        return [b.id for b in self.query_radius_bodies(center, radius)]
 
     def query_radius_bodies(self, center: Vec2, radius: float) -> list[Body]:
-        """Same traversal as query_radius but yields the bodies themselves."""
+        """Bodies with distance <= radius from center, boundary inclusive.
+
+        Only nodes whose box touches the disk's bounding square are descended,
+        in the fixed child order, so hits come leaf by leaf depth-first and in
+        leaf order within a leaf.  Bodies are then filtered by exact squared
+        distance: no square root is taken and a body exactly on the radius is
+        always included.
+        """
         if radius < 0:
             raise ValueError(f"negative query radius: {radius}")
         cx = center.x
@@ -269,3 +259,135 @@ def _build(items: list[Body], coord: CellCoord, box: AABB, root_box: AABB,
     node = Node(coord, box, (kids[0], kids[1], kids[2], kids[3]), (), count, q, com,
                 box.lo.x, box.lo.y, box.hi.x, box.hi.y)
     return node, q, wx, wy
+
+
+class FlatTree(NamedTuple):
+    """A built tree as numpy columns plus its bodies in depth-first order.
+
+    Rows 0 .. n-1 are the non-empty nodes breadth-first, so the children of
+    node k are the rows first[k] .. first[k] + count[k] - 1.  `bodies` lists
+    the bodies leaf by leaf depth-first, so each leaf's bodies are contiguous:
+    a leaf's first is n plus the index of its first body and its count is its
+    body count, which makes body i row n + i of any column a caller extends
+    with per-body values.  box stacks lo_x, lo_y, hi_x, hi_y and side^2; a
+    cancelled node's center (cx, cy) is NaN.  Row n of every column is a
+    sentinel: an empty box (lo +inf, hi -inf) with side^2 = -1, which a
+    clipped read of a body row lands on.
+    """
+
+    box: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    charge: np.ndarray
+    bodies: list[Body]
+
+
+def flatten(tree: NTree) -> FlatTree:
+    """The flat view of a tree that the batched field and boids code share."""
+    order = [(tree.root, 0)] if tree.root.count else []
+    bodies = list(tree.bodies)
+
+    def rows():
+        for node, start in order:
+            first = len(order)
+            for kid in node.children or ():
+                if kid.count:
+                    order.append((kid, start))
+                start += kid.count
+            if node.children is None:
+                bodies[start:start + node.count] = node.bodies
+                first = ~start
+            com = node.center_of_charge or Vec2(math.nan, math.nan)
+            side = max(node.hi_x - node.lo_x, node.hi_y - node.lo_y)
+            yield (node.lo_x, node.lo_y, node.hi_x, node.hi_y, side * side, first,
+                   len(order) - first if first >= 0 else node.count,
+                   com.x, com.y, node.total_charge)
+        yield (math.inf, math.inf, -math.inf, -math.inf, -1.0, 0, 0, 0.0, 0.0, 0.0)
+
+    table = np.fromiter(rows(), "f8,f8,f8,f8,f8,i8,i8,f8,f8,f8")
+    *box, first, count, cx, cy, charge = (table[f] for f in table.dtype.names)
+    first[first < 0] = len(order) + ~first[first < 0]
+    return FlatTree(np.stack(box), first, count, cx, cy, charge, bodies)
+
+
+def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:
+    """One numpy column per space-separated attribute path, e.g. "position.x id"."""
+    return [np.fromiter(map(attrgetter(k), bodies), dtype, len(bodies)) for k in keys.split()]
+
+
+def _pow2(x: float) -> int:
+    """The power of two nearest to x, and at least 1."""
+    return 1 << max(round(math.log2(x)), 0) if x > 1 else 1
+
+
+def _near_leaves(flat: FlatTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, leaf row) for every leaf whose box meets the query box of a
+    target in lo .. hi-1, sorted by target, then depth-first.
+
+    A level-synchronous frontier that makes query_radius_bodies' box test on
+    every node it visits.  Each pair is replaced by its children in order and
+    a leaf by itself, so the frontier stays in depth-first order and ends as
+    the leaves met.
+    """
+    box, first, count = flat.box, flat.first, flat.count
+    n = len(first) - 1
+    inner = first < n
+    fan = np.where(inner, count, 1)
+    base = np.where(inner, first, np.arange(n + 1))
+    qhi_x, qlo_x, qhi_y, qlo_y = query  # per target
+    t = np.arange(lo, hi)
+    row = np.zeros(len(t), dtype=np.intp)
+    while True:
+        # The node is near unless it lies beyond a side of the query box (no
+        # NaN can occur: positions are finite and radii positive).
+        near = box[0][row] <= qhi_x[t]
+        near &= qlo_x[t] <= box[2][row]
+        near &= box[1][row] <= qhi_y[t]
+        near &= qlo_y[t] <= box[3][row]
+        t, row = t[near], row[near]
+        if not len(row) or first[row].min() >= n:  # leaves only
+            return t, row
+        k = fan[row]
+        t = np.repeat(t, k)
+        row = np.arange(len(t)) + np.repeat(base[row] - np.cumsum(k) + k, k)
+
+
+def radius_hits(flat: FlatTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
+    """query_radius_bodies for many centers at once, over a flattened tree.
+
+    Yields (a, b, target, body, d2) chunk by chunk for consecutive targets
+    a .. b-1: the target indexes x, y and radius, body is the index into the
+    flat tree's depth-first body list and d2 the squared distance.  Each
+    target's hits come as query_radius_bodies returns them, leaf by leaf
+    depth-first and in leaf order, with its inclusive dx*dx + dy*dy <= r*r
+    test, so every target gets the same bodies in the same order.
+    """
+    first, count = flat.first, flat.count
+    n = len(first) - 1
+    bx, by = columns(flat.bodies, "position.x position.y")
+    query = (x + radius, x - radius, y + radius, y - radius)
+    r2 = radius * radius
+    lo, size = 0, _pow2(_BLOCK_PAIRS / 32)  # a first guess of 32 leaves per query
+    while lo < len(x):
+        hi = min(lo + size, len(x))
+        leaf_t, leaf = _near_leaves(flat, query, lo, hi)
+        size = _pow2(_BLOCK_PAIRS * (hi - lo) / max(len(leaf_t), 1))
+        leaf_start, leaf_k = first[leaf] - n, count[leaf]
+        del leaf
+        step = _pow2(_CHUNK_TERMS * (hi - lo) / max(int(leaf_k.sum()), 1))
+        cuts = list(range(lo, hi, step)) + [hi]
+        ends = np.cumsum(np.bincount(leaf_t - lo, minlength=hi - lo))
+        ends = [0, *ends[[c - lo - 1 for c in cuts[1:]]].tolist()]
+        for a, b, p, q in zip(cuts, cuts[1:], ends, ends[1:]):
+            k = leaf_k[p:q]
+            t = np.repeat(leaf_t[p:q], k)
+            body = np.arange(len(t)) + np.repeat(leaf_start[p:q] - np.cumsum(k) + k, k)
+            dx, dy = bx[body] - x[t], by[body] - y[t]
+            d2 = dx * dx + dy * dy
+            hit = d2 <= r2[t]
+            t, body, d2 = t[hit], body[hit], d2[hit]
+            del dx, dy, hit  # the candidates' scratch is not kept while the caller works
+            yield a, b, t, body, d2
+        lo = hi

@@ -2,9 +2,10 @@
 
 Everything in this module is deliberately naive and, where possible, exact:
 rational box arithmetic instead of floats, union-find over all-pairs contact
-instead of tree traversal, linear scans instead of pruned queries.  None of
-it imports the grouping, query, or field code under test beyond the plain
-data types.
+instead of tree traversal, linear scans instead of pruned queries, one boid
+and one neighbour at a time instead of numpy batches.  None of it imports the
+grouping, field, or steering code under test beyond the plain data types and
+the scalar tree walker.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from orgtree.errors import SingularPairError
+from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
+                           COHESION_NORMALIZED, WorldState)
+from orgtree.errors import SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2
-from orgtree.ntree import Body
+from orgtree.ntree import Body, build_tree
 
 
 @lru_cache(maxsize=None)
@@ -207,3 +210,219 @@ def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:
         else:
             stack.extend(reversed(node.children))
     return Vec2(math.fsum(xs), math.fsum(ys))
+
+
+def neighborhood(state: WorldState, j: int, same_species: bool) -> list[int]:
+    """Neighbor ids of body j within its species' radius, j itself excluded.
+
+    The radius test is inclusive.  same_species=True keeps neighbors of j's
+    species, False keeps every other species.
+    """
+    body = state.by_id[j]
+    radius = state.params.species[body.species].neighbor_radius
+    out = []
+    for i in state.tree.query_radius(body.position, radius):
+        if i == j:
+            continue
+        if (state.by_id[i].species == body.species) == same_species:
+            out.append(i)
+    return out
+
+
+def _pair_d2(j: Body, other: Body) -> float:
+    dx = other.position.x - j.position.x
+    dy = other.position.y - j.position.y
+    d2 = dx * dx + dy * dy
+    if d2 == 0.0:
+        raise ZeroDistanceError(
+            f"boids {j.id} and {other.id} occupy the same position",
+            pair=(j.id, other.id))
+    return d2
+
+
+def _pair_d3(j: Body, other: Body, d2: float) -> float:
+    d3 = d2 * math.sqrt(d2)
+    if d3 == 0.0:
+        raise ZeroDistanceError(
+            f"boids {j.id} and {other.id} are too close: distance^3 underflows to 0",
+            pair=(j.id, other.id))
+    return d3
+
+
+def cohesion(j: Body, neighbors: list[Body], mode: str = COHESION_NORMALIZED) -> Vec2:
+    """Pull toward the inverse-square-weighted neighbor centroid.
+
+    Normalized mode returns that centroid minus x_j.  Literal mode skips the
+    normalization and returns sum(x_i / d_i^2) - x_j, as the boids module
+    docstring writes it.
+    """
+    if mode not in COHESION_MODES:
+        raise ValueError(f"unknown cohesion mode: {mode!r}")
+    if not neighbors:
+        return Vec2(0.0, 0.0)
+    sw = 0.0
+    sx = 0.0
+    sy = 0.0
+    for nb in neighbors:
+        w = 1.0 / _pair_d2(j, nb)
+        sw += w
+        sx += w * nb.position.x
+        sy += w * nb.position.y
+    if mode == COHESION_LITERAL:
+        return Vec2(sx - j.position.x, sy - j.position.y)
+    return Vec2(sx / sw - j.position.x, sy / sw - j.position.y)
+
+
+def separation(j: Body, neighbors: list[Body], coefficient: float) -> Vec2:
+    """Scaled push away from close neighbors, with inverse-cube weights."""
+    sx = 0.0
+    sy = 0.0
+    for nb in neighbors:
+        d3 = _pair_d3(j, nb, _pair_d2(j, nb))
+        sx += (j.position.x - nb.position.x) / d3
+        sy += (j.position.y - nb.position.y) / d3
+    return Vec2(coefficient * sx, coefficient * sy)
+
+
+def alignment(j: Body, neighbors: list[Body]) -> Vec2:
+    """Average of neighbor velocities, weighted by inverse squared distance."""
+    if not neighbors:
+        return Vec2(0.0, 0.0)
+    card = float(len(neighbors))
+    sx = 0.0
+    sy = 0.0
+    for nb in neighbors:
+        w = 1.0 / (card * _pair_d2(j, nb))
+        sx += w * nb.velocity.x
+        sy += w * nb.velocity.y
+    return Vec2(sx, sy)
+
+
+def step_velocity_loop(state: WorldState, j: int) -> Vec2:
+    """Post-update velocity of body j by a scalar loop over its neighbours.
+
+    The reference for the batched boids.step_velocity and step_world.
+    Equivalent, float for float, to combining the cohesion, separation, and
+    alignment functions above; the loop just shares one distance computation
+    per neighbor instead of recomputing it per term.  A pair whose distance
+    cubed underflows to 0 raises like a coincident pair, at the first such
+    neighbour met: same-species neighbours first, in query order.
+    """
+    body = state.by_id[j]
+    sp = state.params.species[body.species]
+    species = body.species
+    same: list[Body] = []
+    other: list[Body] = []
+    for nb in state.tree.query_radius_bodies(body.position, sp.neighbor_radius):
+        if nb.id == j:
+            continue
+        (same if nb.species == species else other).append(nb)
+
+    px = body.position.x
+    py = body.position.y
+    sw = csx = csy = 0.0
+    ssx = ssy = 0.0
+    asx = asy = 0.0
+    card = float(len(same))
+    for nb in same:
+        dx = nb.position.x - px
+        dy = nb.position.y - py
+        d2 = dx * dx + dy * dy
+        if d2 == 0.0:
+            raise ZeroDistanceError(
+                f"boids {body.id} and {nb.id} occupy the same position",
+                pair=(body.id, nb.id))
+        w = 1.0 / d2
+        sw += w
+        csx += w * nb.position.x
+        csy += w * nb.position.y
+        d3 = _pair_d3(body, nb, d2)
+        ssx += (px - nb.position.x) / d3
+        ssy += (py - nb.position.y) / d3
+        aw = 1.0 / (card * d2)
+        asx += aw * nb.velocity.x
+        asy += aw * nb.velocity.y
+    if not same:
+        cx = cy = 0.0
+    elif state.params.cohesion_mode == COHESION_LITERAL:
+        cx = csx - px
+        cy = csy - py
+    else:
+        cx = csx / sw - px
+        cy = csy / sw - py
+
+    osx = osy = 0.0
+    for nb in other:
+        dx = nb.position.x - px
+        dy = nb.position.y - py
+        d2 = dx * dx + dy * dy
+        if d2 == 0.0:
+            raise ZeroDistanceError(
+                f"boids {body.id} and {nb.id} occupy the same position",
+                pair=(body.id, nb.id))
+        d3 = _pair_d3(body, nb, d2)
+        osx += (px - nb.position.x) / d3
+        osy += (py - nb.position.y) / d3
+
+    vx = (sp.alpha * body.velocity.x + sp.beta * cx + sp.gamma * ssx
+          + sp.delta * asx + sp.inter_species_gamma * osx)
+    vy = (sp.alpha * body.velocity.y + sp.beta * cy + sp.gamma * ssy
+          + sp.delta * asy + sp.inter_species_gamma * osy)
+    v2 = vx * vx + vy * vy
+    limit = sp.max_speed
+    if v2 > limit * limit:
+        scale = limit / math.sqrt(v2)
+        vx *= scale
+        vy *= scale
+        # Rounding can leave the rescaled speed an ulp over the cap; nudge
+        # toward zero until the invariant holds exactly.
+        while vx * vx + vy * vy > limit * limit:
+            vx = math.nextafter(vx, 0.0)
+            vy = math.nextafter(vy, 0.0)
+    return Vec2(vx, vy)
+
+
+def _reflect_loop(x: float, v: float, lo: float, hi: float) -> tuple[float, float]:
+    # Fold back into [lo, hi], negating the velocity component per bounce.
+    while x < lo or x > hi:
+        if x < lo:
+            x = 2.0 * lo - x
+        else:
+            x = 2.0 * hi - x
+        v = -v
+    return x, v
+
+
+def _wrap_mod(x: float, lo: float, hi: float) -> float:
+    if lo <= x <= hi:
+        return x
+    return lo + ((x - lo) % (hi - lo))
+
+
+def step_world_loop(state: WorldState) -> WorldState:
+    """One synchronous step of every boid by the scalar loops above.
+
+    The reference for the batched step_world; reflect folds one bounce at a
+    time, so keep it to scenes that need few folds.
+    """
+    params = state.params
+    new_v = [step_velocity_loop(state, b.id) for b in state.bodies]
+    box = params.box
+    dt = params.dt
+    reflect = params.boundary == BOUNDARY_REFLECT
+    moved: list[Body] = []
+    for b, v in zip(state.bodies, new_v):
+        x = b.position.x + dt * v.x
+        y = b.position.y + dt * v.y
+        vx = v.x
+        vy = v.y
+        if reflect:
+            x, vx = _reflect_loop(x, vx, box.lo.x, box.hi.x)
+            y, vy = _reflect_loop(y, vy, box.lo.y, box.hi.y)
+        else:
+            x = _wrap_mod(x, box.lo.x, box.hi.x)
+            y = _wrap_mod(y, box.lo.y, box.hi.y)
+        moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(vx, vy), b.charge))
+    tree = build_tree(moved, box, params.capacity, params.max_depth)
+    return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,
+                      seed=state.seed, params=params)

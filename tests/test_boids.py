@@ -1,15 +1,25 @@
+import json
 import math
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orgtree.boids import (BOUNDARY_WRAP, COHESION_LITERAL, SimParams,
-                           SpeciesParams, WorldState, alignment, cohesion,
-                           make_world, neighborhood, separation,
-                           step_velocity, step_world)
-from orgtree.errors import ZeroDistanceError
+from orgtree import ntree
+from orgtree.boids import (BOUNDARY_POLICIES, BOUNDARY_WRAP, COHESION_LITERAL,
+                           COHESION_MODES, SimParams, SpeciesParams, WorldState,
+                           make_world, step_velocity, step_world)
+from orgtree.cli import main
+from orgtree.config import config_from_dict, load_config
+from orgtree.errors import DynamicsError, ZeroDistanceError
 from orgtree.geometry import AABB, Vec2
 from orgtree.ntree import Body
-from conftest import BOX_100, clustered_bodies
+from orgtree.run import place_bodies
+from conftest import BOX_100, CONFIG_DIR, clustered_bodies
+from oracles import (alignment, cohesion, neighborhood, separation,
+                     step_velocity_loop, step_world_loop)
 
 WIDE_BOX = AABB(Vec2(-10.0, -10.0), Vec2(10.0, 10.0))
 
@@ -300,3 +310,190 @@ class TestValidation:
     def test_unknown_species_index_rejected(self):
         with pytest.raises(ValueError):
             world([boid(0, 0, 0, species=3)])
+
+
+def bits(state):
+    """Every body's exact state, -0.0 told apart from 0.0."""
+    return [(b.id, b.species, b.position.x.hex(), b.position.y.hex(),
+             b.velocity.x.hex(), b.velocity.y.hex()) for b in state.bodies]
+
+
+def outcome(fn):
+    """A step's exact bits, or the pair a ZeroDistanceError names."""
+    try:
+        return bits(fn())
+    except ZeroDistanceError as err:
+        return ("zero distance", err.pair)
+
+
+def config_world(config):
+    return make_world(place_bodies(config), config.sim_params(), config.seed)
+
+
+def assert_steps_match_the_scalar_loop(state, steps):
+    for _ in range(steps):
+        want = step_world_loop(state)
+        state = step_world(state)
+        assert bits(state) == bits(want)
+    return state
+
+
+# The flock benchmark's scene: configs/three_species.json scaled to 3 x 400
+# boids in disks of radius 20, the shipped density.
+FLOCK_SCENE = {
+    "seed": 11,
+    "world": {"box": [[0.0, 0.0], [100.0, 100.0]], "capacity": 10, "dt": 0.1},
+    "species": [{"name": name, "count": 400, "center": center, "radius": 20.0, "seed": seed}
+                for name, center, seed in (("amber", [30.0, 30.0], 1),
+                                           ("teal", [70.0, 30.0], 2),
+                                           ("plum", [50.0, 72.0], 3))],
+    "detection": {"depth": 5},
+}
+
+
+class TestBatchedStepEqualsScalarLoop:
+    @pytest.mark.parametrize("name", ["three_species", "two_flocks"])
+    def test_committed_configs_for_200_steps(self, name):
+        state = config_world(load_config(CONFIG_DIR / f"{name}.json"))
+        assert_steps_match_the_scalar_loop(state, 200)
+
+    def test_flock_benchmark_scene(self):
+        assert_steps_match_the_scalar_loop(config_world(config_from_dict(FLOCK_SCENE)), 20)
+
+    def test_block_and_chunk_sizes_do_not_change_the_bits(self, monkeypatch):
+        state = config_world(load_config(CONFIG_DIR / "three_species.json"))
+        for _ in range(5):
+            state = step_world(state)
+        want = bits(step_world_loop(state))
+        for pairs, terms in ((1, 1), (7, 3), (64, 50), (512, 10 ** 9), (10 ** 9, 64)):
+            monkeypatch.setattr(ntree, "_BLOCK_PAIRS", pairs)
+            monkeypatch.setattr(ntree, "_CHUNK_TERMS", terms)
+            assert bits(step_world(state)) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from(COHESION_MODES),
+           st.sampled_from(BOUNDARY_POLICIES), st.sampled_from([1, 3, 10]),
+           st.sampled_from([(1, 1), (5, 7), (64, 200), (8192, 4096)]))
+    def test_random_scenes(self, seed, n_species, mode, boundary, capacity, sizes):
+        rng = random.Random(seed)
+        species = tuple(SpeciesParams(
+            alpha=rng.uniform(0.5, 1.2), beta=rng.uniform(0.0, 2.0),
+            gamma=rng.uniform(0.0, 2.0), delta=rng.uniform(0.0, 1.0),
+            inter_species_gamma=rng.uniform(0.0, 3.0),
+            neighbor_radius=rng.choice([0.5, 4.0, 15.0, 60.0]),
+            max_speed=rng.choice([0.05, 1.0, 1e9])) for _ in range(n_species))
+        bodies = [boid(i, rng.uniform(35.0, 65.0), rng.uniform(35.0, 65.0),
+                       rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
+                       species=rng.randrange(n_species))
+                  for i in range(rng.randrange(1, 120))]
+        bodies.append(boid(len(bodies), 0.5, 99.5, species=rng.randrange(n_species)))  # isolated
+        if rng.random() < 0.2:  # a coincident pair, or one whose distance^3 underflows
+            a = rng.choice(bodies[:-1])
+            bodies.append(boid(len(bodies), a.position.x + rng.choice([0.0, 1e-110]),
+                               a.position.y, species=rng.randrange(n_species)))
+        state = make_world(bodies, SimParams(box=BOX_100, species=species, capacity=capacity,
+                                             boundary=boundary, cohesion_mode=mode))
+        pairs, terms = sizes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ntree, "_BLOCK_PAIRS", pairs)
+            mp.setattr(ntree, "_CHUNK_TERMS", terms)
+            for _ in range(3):
+                want = outcome(lambda: step_world_loop(state))
+                assert outcome(lambda: step_world(state)) == want
+                for b in bodies[:20]:
+                    try:
+                        v = step_velocity_loop(state, b.id)
+                    except ZeroDistanceError as err:
+                        with pytest.raises(ZeroDistanceError) as got:
+                            step_velocity(state, b.id)
+                        assert got.value.pair == err.pair
+                    else:
+                        w = step_velocity(state, b.id)
+                        assert (w.x.hex(), w.y.hex()) == (v.x.hex(), v.y.hex())
+                if want[0] == "zero distance":
+                    break
+                state = step_world(state)
+
+    def test_active_clamp_and_lone_boids_are_covered(self):
+        # A tight cap on a crowd makes the clamp and its ulp nudges run; two
+        # far-apart boids have no neighbours at all.
+        crowd = clustered_bodies([(50.0, 50.0)], 60, 3.0, seed=8, box=BOX_100)
+        crowd += [boid(60, 2.0, 2.0, vx=0.3), boid(61, 97.0, 97.0, vy=-0.2)]
+        sp = SpeciesParams(beta=5.0, gamma=4.0, max_speed=0.75)
+        state = make_world(crowd, SimParams(box=BOX_100, species=(sp,)))
+        after = assert_steps_match_the_scalar_loop(state, 3)
+        speeds = [b.velocity.x ** 2 + b.velocity.y ** 2 for b in after.bodies]
+        assert max(speeds) <= 0.75 ** 2
+        assert sum(s >= 0.75 ** 2 * 0.999 for s in speeds) > 10
+
+
+class TestUnresolvablePairs:
+    def test_underflowing_pair_raises_with_the_pair(self):
+        # d^2 = 1e-220 is positive but d^3 underflows to 0.
+        state = world([boid(0, 0, 0), boid(1, 1e-110, 0)])
+        for step in (step_world, step_world_loop):
+            with pytest.raises(ZeroDistanceError) as err:
+                step(state)
+            assert err.value.pair == (0, 1)
+
+    def test_the_first_pair_of_the_scalar_loop_is_reported(self):
+        # Boid 3 meets an underflowing other-species pair (7) and an
+        # underflowing same-species pair (8); boids 5 and 9 coincide.  The
+        # scalar loop meets boid 3 first, and its same-species list first.
+        bodies = [boid(i, 3.0 * (i % 4) - 5.0, 3.0 * (i // 4) - 5.0) for i in range(12)]
+        bodies[3] = boid(3, 1.0, 1.0)
+        bodies[7] = boid(7, 1.0 + 1e-110, 1.0, species=1)
+        bodies[8] = boid(8, 1.0, 1.0 + 1e-110)
+        bodies[9] = boid(9, bodies[5].position.x, bodies[5].position.y)
+        state = world(bodies, SpeciesParams(), SpeciesParams())
+        for step in (step_world, step_world_loop):
+            with pytest.raises(ZeroDistanceError) as err:
+                step(state)
+            assert err.value.pair == (3, 8)
+
+    def test_cli_reports_an_underflowing_pair_with_exit_2(self, tmp_path, capsys):
+        # A disk of radius 1e-110 around the origin: boids are distinct but
+        # their distance cubed is 0.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "world": {"box": [[-1.0, -1.0], [1.0, 1.0]]},
+            "species": [{"name": "dust", "count": 2, "center": [0.0, 0.0],
+                         "radius": 1e-110, "seed": 5}]}), encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg), "--steps", "2",
+                     "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at step 1" in err and "underflows" in err
+        assert "Traceback" not in err
+
+
+class TestFarJumps:
+    def test_reflect_folds_a_huge_jump_in_closed_form(self):
+        # x = 50 + 1e300 * 5 would take ~1e298 single folds.  Reflection in
+        # [0, 100] has period 200, and here the fold is exact in floats.
+        sp = SpeciesParams(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0, max_speed=10.0)
+        state = world([boid(0, 50, 50, vx=5.0)], sp, box=BOX_100, dt=1e300)
+        after = step_world(state).by_id[0]
+        x = 50.0 + 1e300 * 5.0
+        u = Fraction(x) % 200
+        want = (u, 5.0) if u <= 100 else (200 - u, -5.0)
+        assert (Fraction(after.position.x), after.velocity.x) == want
+        assert after.position.y == 50.0 and after.velocity.y == 0.0
+
+    def test_non_finite_displacement_names_the_body(self):
+        sp = SpeciesParams(alpha=1.0, beta=0.0, gamma=0.0, delta=0.0, max_speed=1e12)
+        state = world([boid(0, 50, 50), boid(4, 20, 20, vy=1e10)], sp, box=BOX_100, dt=1e300)
+        with pytest.raises(DynamicsError, match="boid 4 moves by a non-finite displacement"):
+            step_world(state)
+
+    def test_cli_folds_huge_jumps_with_dt_1e300(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 3, "world": {"box": [[0.0, 0.0], [100.0, 100.0]], "dt": 1e300},
+            "species": [{"name": "a", "count": 30, "center": [50.0, 50.0],
+                         "radius": 10.0, "seed": 7}]}), encoding="utf-8")
+        assert main(["simulate", "--config", str(cfg), "--steps", "1",
+                     "--out", str(tmp_path / "out")]) == 0
+        last = json.loads((tmp_path / "out" / "trace.jsonl").read_text().splitlines()[-1])
+        assert last["step"] == 1
+        assert all(0.0 <= b[k] <= 100.0 for b in last["bodies"] for k in "xy")

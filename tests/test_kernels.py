@@ -309,3 +309,18 @@ def test_pair_too_close_for_a_finite_term_is_singular():
         tree_fields(tree, KernelParams())
     assert err.value.pair == (1, 0)
     assert tree_fields(tree, KernelParams(softening=1e-3))[0].x > 0.0
+
+
+def test_direct_paths_report_a_pair_too_close_for_a_finite_term():
+    # The direct sum, one direct target and one pair all meet the same pair
+    # as tree_fields: r^2 = 1e-220 is positive but r^3 underflows to zero.
+    bodies = [b(0, 0.0, 0.5), b(1, 1e-110, 0.5), b(2, 0.9, 0.9)]
+    params = KernelParams()
+    for fn in (lambda: direct_fields(bodies, params), lambda: direct_field(bodies, 0, params)):
+        with pytest.raises(SingularPairError) as err:
+            fn()
+        assert err.value.pair == (1, 0)
+    with pytest.raises(SingularPairError) as err:
+        pair_field(bodies[1], bodies[0].position, params, target_id=0)
+    assert err.value.pair == (1, 0)
+    assert direct_field(bodies, 2, params).x < 0.0  # a far target is unaffected

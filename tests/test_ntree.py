@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
+from orgtree import ntree
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box
-from orgtree.ntree import Body, build_tree
+from orgtree.ntree import Body, build_tree, flatten, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import collect_bodies, linear_radius, rational_aggregates
 
@@ -224,6 +227,35 @@ class TestQueryRadius:
         ids = set(tree.query_radius(center, 0.3))
         via_bodies = {x.id for x in tree.query_radius_bodies(center, 0.3)}
         assert ids == via_bodies
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([1, 3, 10]),
+       st.sampled_from([(1, 1), (3, 5), (64, 64), (8192, 4096)]))
+def test_radius_hits_equal_query_radius_bodies_in_order(seed, capacity, sizes):
+    rng = random.Random(seed)
+    tree, bodies = uniform_tree(rng.randrange(1, 200), seed=seed, capacity=capacity)
+    # Centers on bodies, anywhere, and off the box.
+    centers = [rng.choice(bodies).position for _ in range(20)]
+    centers += [Vec2(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)) for _ in range(20)]
+    radii = [rng.choice([0.0, 0.01, 0.1, 0.3, 2.0]) for _ in centers]
+    x, y, r = (np.array(v) for v in ([c.x for c in centers], [c.y for c in centers], radii))
+    flat = flatten(tree)
+    got = [[] for _ in centers]
+    ends = [0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ntree, "_BLOCK_PAIRS", sizes[0])
+        mp.setattr(ntree, "_CHUNK_TERMS", sizes[1])
+        for a, b_, t, body, d2 in radius_hits(flat, x, y, r):
+            assert a == ends[-1] and all(a <= k < b_ for k in t.tolist())
+            ends.append(b_)
+            for k, i, d in zip(t.tolist(), body.tolist(), d2.tolist()):
+                p = flat.bodies[i].position
+                dx, dy = p.x - x[k], p.y - y[k]
+                assert d == dx * dx + dy * dy
+                got[k].append(flat.bodies[i].id)
+    assert ends[-1] == len(centers)
+    assert got == [tree.query_radius(c, rad) for c, rad in zip(centers, radii)]
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -409,3 +410,29 @@ def test_non_finite_box_and_center_are_config_errors():
         config_from_dict({"world": {"box": [[0.0, 0.0], [float("inf"), 1.0]]}})
     with pytest.raises(ConfigError, match=r"world\.dt"):
         config_from_dict({"world": {"dt": 10 ** 400}})
+
+
+def test_oversized_integer_in_config_exits_1_naming_the_file(tmp_path, capsys):
+    # json.loads raises a plain ValueError for an integer literal longer than
+    # Python's 4,300-digit limit.
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text('{"seed": ' + "9" * 5000 + "}", encoding="utf-8")
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and str(cfg_path) in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+# sha256 of trace.jsonl after 60 steps, recorded with the scalar steering
+# loop that the batched step replaced.
+GOLDEN_TRACES = {
+    "three_species": "3773e866246b0b6428b45f8e1646151252f01e7a3a9c6a96541aee519be4f88f",
+    "two_flocks": "2caa0dac01364a2ffe24ef10232ac19cba9b799f65ceaff8e4e8b8ad2823382f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_committed_config_traces_are_pinned(tmp_path, name):
+    path = run_simulation(load_config(CONFIG_DIR / f"{name}.json"), tmp_path, 60)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACES[name]
