@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SingularPairError
 from .geometry import Vec2
-from .ntree import Body, NTree, columns, flatten
+from .ntree import Body, NTree, _pow2, columns, flatten
 
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
@@ -186,7 +186,7 @@ def _fields(tree: NTree, targets: list[Vec2], target_ids: list[int],
         ends = np.cumsum(np.bincount(owner - lo, minlength=hi - lo)).tolist()
         out.extend(Vec2(math.fsum(xs[a:b]), math.fsum(ys[a:b]))
                    for a, b in zip([0] + ends, ends))
-        size = max(1, _BLOCK_TERMS * size // max(len(xs), 1))
+        size = _pow2(_BLOCK_TERMS * size / max(len(xs), 1))  # few sizes, as in radius_hits
         del owner, order, xs, ys  # free the block's sums before the next block's walk
     return out
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
@@ -104,6 +105,25 @@ def run_simulation(config: Config, out_dir: str | Path, steps: int) -> Path:
     return trace_path
 
 
+@contextmanager
+def _frame_errors(trace_path: str | Path, step: int):
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:  # e.g. a missing key, a repeated id
+        raise ConfigError(f"{trace_path}: step {step}: malformed frame: {exc!r}") from exc
+
+
+def _recorded_tree(trace_path: str | Path, step: int):
+    """The recorded config and frame of a step, and the tree of its bodies."""
+    trace = read_trace(trace_path)
+    config = config_from_dict(trace.header["config"])
+    frame = trace.frame_at(step)
+    with _frame_errors(trace_path, step):
+        tree = build_tree(bodies_from_frame_dict(frame), config.world_box(),
+                          config.world.capacity, config.world.max_depth)
+    return config, frame, tree
+
+
 def detect_offline(trace_path: str | Path, step: int, depth: int) -> dict[str, Any]:
     """Re-run detection on one recorded frame at a chosen depth threshold.
 
@@ -113,12 +133,7 @@ def detect_offline(trace_path: str | Path, step: int, depth: int) -> dict[str, A
     """
     if depth < 0:
         raise ConfigError(f"depth must be non-negative, got {depth}")
-    trace = read_trace(trace_path)
-    config = config_from_dict(trace.header["config"])
-    frame = trace.frame_at(step)
-    bodies = bodies_from_frame_dict(frame)
-    tree = build_tree(bodies, config.world_box(), config.world.capacity,
-                      config.world.max_depth)
+    config, _, tree = _recorded_tree(trace_path, step)
     orgs = detect_organizations(tree, depth, config.detection.min_org_size,
                                 seed=config.seed + step)
     return {
@@ -130,14 +145,10 @@ def detect_offline(trace_path: str | Path, step: int, depth: int) -> dict[str, A
 
 def render_offline(trace_path: str | Path, step: int) -> str:
     """Re-render one recorded frame as SVG, using its recorded organizations."""
-    trace = read_trace(trace_path)
-    config = config_from_dict(trace.header["config"])
-    frame = trace.frame_at(step)
-    bodies = bodies_from_frame_dict(frame)
-    tree = build_tree(bodies, config.world_box(), config.world.capacity,
-                      config.world.max_depth)
-    orgs = [organization_from_dict(d) for d in frame.get("organizations", [])]
-    return render_svg(tree, orgs)
+    _, frame, tree = _recorded_tree(trace_path, step)
+    with _frame_errors(trace_path, step):
+        orgs = [organization_from_dict(d) for d in frame.get("organizations", [])]
+        return render_svg(tree, orgs)
 
 
 def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:

@@ -94,20 +94,21 @@ class TraceData:
 
 def read_trace(path: str | Path) -> TraceData:
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ConfigError(f"{path}: empty trace")
     parsed = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
         if not line:
             continue
         try:
             parsed.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{lineno}: malformed trace line: {exc.msg}") from exc
+        except ValueError as exc:  # not JSON or not UTF-8, or an integer over the digit limit
+            why = getattr(exc, "msg", exc)  # a JSONDecodeError's message without its position
+            raise ConfigError(f"{path}:{lineno}: malformed trace line: {why}") from exc
+        if parsed[1:] and not isinstance(parsed[-1], dict):
+            raise ConfigError(f"{path}:{lineno}: frame line is not an object")
+    if not parsed:
+        raise ConfigError(f"{path}: empty trace")
     header = parsed[0]
-    if "config" not in header or "version" not in header:
+    if not isinstance(header, dict) or "config" not in header or "version" not in header:
         raise ConfigError(f"{path}: first line is not a trace header")
     if header["version"] != TRACE_VERSION:
         raise ConfigError(f"{path}: unsupported trace version {header['version']!r}")

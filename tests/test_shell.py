@@ -436,3 +436,58 @@ GOLDEN_TRACES = {
 def test_committed_config_traces_are_pinned(tmp_path, name):
     path = run_simulation(load_config(CONFIG_DIR / f"{name}.json"), tmp_path, 60)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACES[name]
+
+
+@pytest.mark.parametrize("fault, expected", [
+    ("no bodies", "step 2: malformed frame: KeyError('bodies')"),
+    ("x is abc", "step 2: malformed frame: ValueError(\"could not convert string to float: 'abc'\")"),
+    ("header is 5", "first line is not a trace header"),
+    ("body outside the box", "step 2: malformed frame: ValueError('body 16 at (500.0, "),
+    ("duplicate id", "step 2: malformed frame: ValueError('duplicate body id: 0')"),
+    ("frame is 5", ":3: frame line is not an object"),
+    ("huge integer", ":3: malformed trace line: Exceeds the limit (4300 digits)"),
+    ("not utf-8", ":4: malformed trace line: 'utf-8' codec can't decode byte 0xff"),
+])
+@pytest.mark.parametrize("command", ["detect", "render"])
+def test_malformed_trace_exits_1_naming_trace_and_step(tmp_path, capsys, command, fault,
+                                                       expected):
+    path = run_simulation(config_from_dict(SMALL_CONFIG), tmp_path, steps=2)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    frame = json.loads(lines[3])
+    if fault == "no bodies":
+        del frame["bodies"]
+    elif fault == "x is abc":
+        frame["bodies"][0]["x"] = "abc"
+    elif fault == "body outside the box":
+        frame["bodies"][16]["x"] = 500.0
+    elif fault == "duplicate id":
+        frame["bodies"][1]["id"] = 0
+    lines[3] = json.dumps(frame)
+    if fault == "header is 5":
+        lines[0] = "5"
+    elif fault == "frame is 5":
+        lines[2] = "5"
+    elif fault == "huge integer":
+        lines[2] = '{"step": ' + "9" * 5000 + "}"
+    data = "\n".join(lines).encode() + (b"\xff\n" if fault == "not utf-8" else b"\n")
+    path.write_bytes(data)
+    out = ["--depth", "3"] if command == "detect" else ["--out", str(tmp_path / "f.svg")]
+    code = main([command, "--trace", str(path), "--step", "2", *out])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {path}") and expected in err, err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("organizations", [5, [{"id": 1}], [{"id": 1, "cells": [[-1, 0, 0]],
+                                                             "members": [], "centroid": [0, 0],
+                                                             "bbox": [[0, 0], [1, 1]]}]])
+def test_render_of_malformed_organizations_exits_1(tmp_path, capsys, organizations):
+    path = run_simulation(config_from_dict(SMALL_CONFIG), tmp_path, steps=0)
+    header, frame = path.read_text(encoding="utf-8").splitlines()
+    frame = {**json.loads(frame), "organizations": organizations}
+    path.write_text(header + "\n" + json.dumps(frame) + "\n", encoding="utf-8")
+    code = main(["render", "--trace", str(path), "--step", "0", "--out", str(tmp_path / "f.svg")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {path}: step 0: malformed frame: ") and err.count("\n") == 1
