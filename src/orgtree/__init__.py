@@ -8,7 +8,7 @@ of dense groups as connected components of deep leaf cells.
 from .boids import SimParams, SpeciesParams, WorldState, make_world, step_velocity, step_world
 from .config import Config, load_config
 from .detect import (CellSet, Organization, group_cells, group_cells2,
-                     neighbors_of, organizations_from)
+                     organizations_from)
 from .errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceError
 from .geometry import (AABB, CellCoord, Vec2, boxes_overlap_or_touch, cell_box,
                        cells_adjacent, cells_touch, child_coords)

@@ -7,9 +7,9 @@ into connected components under closed-box adjacency, where sharing an edge
 or a single corner point counts as contact.
 
 Two interchangeable grouping routines are provided.  `group_cells` is the
-quadratic reference sweep; `group_cells2` expands a frontier through the tree
-with `neighbors_of` and never scans cells far from the group.  Both return
-the same partition for any input and any seed, which the test suite checks
+quadratic reference sweep; `group_cells2` is union-find (Tarjan 1975) over
+same-depth neighbour and ancestor lookups (Samet 1982).  Both return the
+same partition for any input and any seed, which the test suite checks
 against an independent union-find oracle.
 """
 
@@ -21,7 +21,7 @@ from math import fsum
 from typing import Iterable
 
 from .geometry import AABB, CellCoord, Vec2, cells_touch
-from .ntree import NTree, Node
+from .ntree import NTree
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,56 +104,46 @@ def group_cells(cells: CellSet, seed: int = 0, *,
     return groups
 
 
-def neighbors_of(node: Node, c: CellCoord, cells: CellSet | Iterable[CellCoord]) -> list[CellCoord]:
-    """Leaf cells from `cells` whose closed box touches cell c's box.
+def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
+                 seed: int = 0) -> list[frozenset[CellCoord]]:
+    """Union-find grouping: join each cell to the pooled cells around it.
 
-    Descends from `node`, recursing only into children whose box touches c's,
-    so subtrees that cannot contain a contact are never inspected.  Contact is
-    decided by the exact integer test, corner contact included.  The returned
-    list is sorted; it contains c itself when c is present in `cells`.
+    A cell c = (d, ix, iy) is joined with the first pooled cell on the
+    ancestor chain (d - s, nx >> s, ny >> s) of each same-depth neighbour
+    (nx, ny), where one outside [0, 2**d) matches nothing, and with its own
+    first pooled proper ancestor.  A pooled cell no smaller than c touching c
+    contains c or one of those neighbours, and a smaller one finds c from its
+    own side: the components are those of `cells_touch`, nested pools too.
+    Neither `tree` nor `seed` is read; both stay for callers that pass them.
     """
-    pool = _coord_pool(cells)
-    out: list[CellCoord] = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.children is None:
-            if n.coord in pool and cells_touch(n.coord, c):
-                out.append(n.coord)
-        else:
-            for child in n.children:
-                if cells_touch(child.coord, c):
-                    stack.append(child)
-    out.sort()
-    return out
+    coords = list(dict.fromkeys(_coord_pool(cells)))
+    index = {(c.depth, c.ix, c.iy): i for i, c in enumerate(coords)}
+    depths = sorted({c.depth for c in coords}, reverse=True)
+    # Shifts up to the shallower depths present: for c itself, for a neighbour.
+    walks = {d: (up := tuple(d - e for e in depths if e < d), (0, *up)) for d in depths}
+    parent = list(range(len(coords)))
 
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
-def group_cells2(cells: CellSet, tree: NTree, seed: int = 0) -> list[frozenset[CellCoord]]:
-    """Frontier grouping: grow each group through tree-guided neighbor lookups.
+    for i, c in enumerate(coords):
+        d, ix, iy = c.depth, c.ix, c.iy
+        own, other = walks[d]
+        for nx in (ix - 1, ix, ix + 1):
+            for ny in (iy - 1, iy, iy + 1):
+                for s in (own if nx == ix and ny == iy else other):
+                    j = index.get((d - s, nx >> s, ny >> s))
+                    if j is not None:
+                        parent[find(j)] = find(i)
+                        break
 
-    Matches `group_cells` output exactly while touching only the cells near
-    the growing group.  Candidates come from `neighbors_of`, so with the exact
-    contact test every candidate is genuinely adjacent; the membership check
-    before absorbing is kept as a guard against a looser neighbor search.
-    """
-    rng = random.Random(seed)
-    remaining = set(_coord_pool(cells))
-    groups: list[frozenset[CellCoord]] = []
-    while remaining:
-        pool = sorted(remaining)
-        c = pool[rng.randrange(len(pool))]
-        remaining.remove(c)
-        group = {c}
-        pending = set(neighbors_of(tree.root, c, remaining))
-        while pending:
-            cand = min(pending)
-            pending.remove(cand)
-            if any(cells_touch(cand, m) for m in group):
-                remaining.remove(cand)
-                group.add(cand)
-                pending.update(neighbors_of(tree.root, cand, remaining))
-        groups.append(frozenset(group))
-    return groups
+    groups: dict[int, list[CellCoord]] = {}
+    for i, c in enumerate(coords):
+        groups.setdefault(find(i), []).append(c)
+    return [frozenset(g) for g in groups.values()]
 
 
 def organizations_from(groups: Iterable[Iterable[CellCoord]],

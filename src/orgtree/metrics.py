@@ -20,6 +20,7 @@ TRANSFORM_RAW = "raw"
 TRANSFORMS = (TRANSFORM_INVERSE, TRANSFORM_GAUSSIAN, TRANSFORM_RAW)
 
 INVERSE_EPSILON = 1e-9
+_BLOCK_ROWS = 64  # weight-matrix rows filled per block
 
 
 @dataclass(frozen=True)
@@ -49,17 +50,26 @@ def interaction_graph(bodies, transform: str = TRANSFORM_INVERSE, *,
         raise ValueError(f"unknown transform: {transform!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    n = len(bodies)
     pos = np.array([[b.position.x, b.position.y] for b in bodies], dtype=float)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    if transform == TRANSFORM_INVERSE:
-        w = 1.0 / (dist + INVERSE_EPSILON)
-    elif transform == TRANSFORM_GAUSSIAN:
-        w = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
-    else:
-        w = dist.copy()
+    w = np.empty((n, n))
+    scratch = np.empty((min(n, _BLOCK_ROWS), n))
+    # Rows are filled in cache-sized blocks.  dx*dx + dy*dy is bit for bit the
+    # sum over the last axis of an N x N x 2 difference tensor, never built.
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = w[lo:lo + _BLOCK_ROWS]
+        np.subtract(pos[lo:lo + _BLOCK_ROWS, None, 0], pos[:, 0], out=rows)
+        rows *= rows
+        dy = np.subtract(pos[lo:lo + _BLOCK_ROWS, None, 1], pos[:, 1], out=scratch[:len(rows)])
+        dy *= dy
+        rows += dy
+        np.sqrt(rows, out=rows)
+        if transform == TRANSFORM_INVERSE:
+            np.divide(1.0, rows + INVERSE_EPSILON, out=rows)
+        elif transform == TRANSFORM_GAUSSIAN:
+            np.exp(-(rows * rows) / (2.0 * sigma * sigma), out=rows)
     np.fill_diagonal(w, 0.0)
-    return WeightedGraph(len(bodies), w)
+    return WeightedGraph(n, w)
 
 
 def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> float:

@@ -49,23 +49,21 @@ def place_bodies(config: Config) -> list[Body]:
 
 def detect_organizations(tree: NTree, depth: int, min_org_size: int = 1,
                          seed: int = 0) -> list[Organization]:
-    """Depth cut, frontier grouping, then materialization and size filtering.
+    """Depth cut, union-find grouping, then materialization and size filtering.
 
-    The partition does not depend on the seed; it only steers which cell each
-    group grows from.  min_org_size drops groups with fewer cells, a noise
-    filter that applies uniformly to traces, offline detection, and SVGs so
-    the three always agree.
+    min_org_size drops groups with fewer cells, a noise filter that applies
+    uniformly to traces, offline detection, and SVGs so the three always
+    agree.  `seed` is not read; it stays for callers that still pass it.
     """
     cells = CellSet.from_tree(tree, depth)
-    groups = group_cells2(cells, tree, seed=seed)
+    groups = group_cells2(cells, tree)
     kept = [g for g in groups if len(g) >= min_org_size]
     return organizations_from(kept, tree)
 
 
 def _emit_frame(state: WorldState, config: Config, out_dir: Path, fh) -> None:
     orgs = detect_organizations(state.tree, config.detection.depth,
-                                config.detection.min_org_size,
-                                seed=config.seed + state.step)
+                                config.detection.min_org_size)
     q: float | None = None
     if config.output.metrics and len(state.bodies) >= 2:
         graph = interaction_graph(state.bodies)
@@ -116,7 +114,10 @@ def _frame_errors(trace_path: str | Path, step: int):
 def _recorded_tree(trace_path: str | Path, step: int):
     """The recorded config and frame of a step, and the tree of its bodies."""
     trace = read_trace(trace_path)
-    config = config_from_dict(trace.header["config"])
+    try:
+        config = config_from_dict(trace.header["config"])
+    except ConfigError as exc:
+        raise ConfigError(f"{trace_path}: header: {exc}") from exc
     frame = trace.frame_at(step)
     with _frame_errors(trace_path, step):
         tree = build_tree(bodies_from_frame_dict(frame), config.world_box(),
@@ -134,8 +135,7 @@ def detect_offline(trace_path: str | Path, step: int, depth: int) -> dict[str, A
     if depth < 0:
         raise ConfigError(f"depth must be non-negative, got {depth}")
     config, _, tree = _recorded_tree(trace_path, step)
-    orgs = detect_organizations(tree, depth, config.detection.min_org_size,
-                                seed=config.seed + step)
+    orgs = detect_organizations(tree, depth, config.detection.min_org_size)
     return {
         "step": step,
         "depth": depth,

@@ -4,8 +4,8 @@ Everything in this module is deliberately naive and, where possible, exact:
 rational box arithmetic instead of floats, union-find over all-pairs contact
 instead of tree traversal, linear scans instead of pruned queries, one boid
 and one neighbour at a time instead of numpy batches.  None of it imports the
-grouping, field, or steering code under test beyond the plain data types and
-the scalar tree walker.
+grouping, field, or steering code under test beyond the plain data types, the
+integer cell-contact test and the scalar tree walker.
 """
 
 from __future__ import annotations
@@ -14,10 +14,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
                            COHESION_NORMALIZED, WorldState)
+from orgtree.detect import CellSet
 from orgtree.errors import SingularPairError, ZeroDistanceError
-from orgtree.geometry import AABB, CellCoord, Vec2
+from orgtree.geometry import AABB, CellCoord, Vec2, cells_touch
+from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
+                             TRANSFORM_INVERSE)
 from orgtree.ntree import Body, build_tree
 
 
@@ -82,6 +87,30 @@ def brute_force_groups(coords) -> set[frozenset[CellCoord]]:
     return uf.components()
 
 
+def neighbors_of(node, c: CellCoord, cells) -> list[CellCoord]:
+    """Leaf cells from `cells` whose closed box touches cell c's box.
+
+    Descends from `node`, recursing only into children whose box touches c's,
+    so subtrees that cannot contain a contact are never inspected.  Contact is
+    decided by the exact integer test, corner contact included.  The returned
+    list is sorted; it contains c itself when c is present in `cells`.
+    """
+    pool = cells.cells if isinstance(cells, CellSet) else cells
+    out: list[CellCoord] = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n.children is None:
+            if n.coord in pool and cells_touch(n.coord, c):
+                out.append(n.coord)
+        else:
+            for child in n.children:
+                if cells_touch(child.coord, c):
+                    stack.append(child)
+    out.sort()
+    return out
+
+
 def linear_radius(bodies, center: Vec2, radius: float) -> set[int]:
     """Ids within the closed disk, by scanning every body."""
     r2 = radius * radius
@@ -142,6 +171,26 @@ def modularity_literal(weights, partition) -> float:
             if label[i] == label[j]:
                 q += weights[i][j] - degree[i] * degree[j] / two_m
     return q / two_m
+
+
+def interaction_weights_reference(bodies, transform: str = TRANSFORM_INVERSE,
+                                  sigma: float = 1.0) -> np.ndarray:
+    """Interaction weights through the full N x N x 2 difference tensor.
+
+    Distances are the square root of the sum over the coordinate axis; the
+    production graph must equal this matrix byte for byte.
+    """
+    pos = np.array([[b.position.x, b.position.y] for b in bodies], dtype=float)
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    if transform == TRANSFORM_INVERSE:
+        w = 1.0 / (dist + INVERSE_EPSILON)
+    elif transform == TRANSFORM_GAUSSIAN:
+        w = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
+    else:
+        w = dist.copy()
+    np.fill_diagonal(w, 0.0)
+    return w
 
 
 def collect_bodies(node) -> list[Body]:

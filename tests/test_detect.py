@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from orgtree.detect import (CellSet, group_cells, group_cells2, neighbors_of,
+from orgtree.detect import (CellSet, group_cells, group_cells2,
                             organizations_from)
 from orgtree.geometry import CellCoord, Vec2
 from orgtree.ntree import Body, build_tree
 from conftest import UNIT_BOX, uniform_tree
-from oracles import brute_force_groups, rational_cells_touch
+from oracles import brute_force_groups, neighbors_of, rational_cells_touch
 
 
 def random_cut(seed, n_max=400):
@@ -201,3 +201,113 @@ class TestEndToEndPartition:
             flat = [c for g in groups for c in g]
             assert len(flat) == len(set(flat)) == len(cut)
             assert set(flat) == cut.coords()
+
+
+class TestUnionFindGrouping:
+    """group_cells2 against the rational all-pairs oracle on adversarial pools."""
+
+    @staticmethod
+    def pile(x, y, k, start):
+        return [Body(start + i, 0, Vec2(x, y), Vec2(0.0, 0.0), 1.0) for i in range(k)]
+
+    def check(self, tree, cut):
+        want = brute_force_groups(cut.coords())
+        assert as_partition(group_cells2(cut, tree)) == want
+        assert as_partition(group_cells(cut)) == want
+        return want
+
+    def test_cut_depth_leaf_beside_a_max_depth_pile(self):
+        # The pile sits just left of x = 0.375, so its depth-20 leaf touches
+        # the lone depth-3 leaf of the body at x = 0.45 along an edge.
+        for dy, joined in ((0.0, True), (0.1, False)):
+            bodies = self.pile(0.375 - 2.0 ** -30, 0.3, 3, 0)
+            bodies.append(Body(3, 0, Vec2(0.45, 0.3 + dy), Vec2(0.0, 0.0), 1.0))
+            tree = build_tree(bodies, UNIT_BOX, 1, 20)
+            cut = CellSet.from_tree(tree, 3)
+            depths = sorted(c.depth for c in cut.coords())
+            assert depths[0] == 3 and depths[-1] - depths[0] >= 15
+            assert len(self.check(tree, cut)) == (1 if joined else 2)
+
+    def test_corner_only_contact(self):
+        # A deep pile in the upper-right corner of cell (3, 2, 2) meets the
+        # leaf (3, 3, 3) in one point, and two same-depth cells meet diagonally.
+        bodies = self.pile(0.375 - 2.0 ** -30, 0.375 - 2.0 ** -30, 2, 0)
+        bodies.append(Body(2, 0, Vec2(0.45, 0.45), Vec2(0.0, 0.0), 1.0))
+        tree = build_tree(bodies, UNIT_BOX, 1, 20)
+        cut = CellSet.from_tree(tree, 3)
+        assert CellCoord(3, 3, 3) in cut and len(cut) == 2
+        assert len(self.check(tree, cut)) == 1
+        diagonal = [CellCoord(2, 0, 0), CellCoord(2, 1, 1), CellCoord(2, 3, 0)]
+        assert as_partition(group_cells2(diagonal, tree)) == brute_force_groups(diagonal)
+
+    def test_cells_on_all_four_root_edges(self):
+        rng = random.Random(11)
+        points = []
+        for _ in range(60):
+            t = rng.random()
+            points += [(0.0, t), (1.0, t), (t, 0.0), (t, 1.0)]
+        bodies = [Body(i, 0, Vec2(x, y), Vec2(0.0, 0.0), 1.0)
+                  for i, (x, y) in enumerate(points)]
+        tree = build_tree(bodies, UNIT_BOX, 1)
+        for depth in (2, 4):
+            cut = CellSet.from_tree(tree, depth)
+            coords = cut.coords()
+            last = [(1 << c.depth) - 1 for c in coords]
+            assert any(c.ix == 0 for c in coords) and any(c.iy == 0 for c in coords)
+            assert any(c.ix == m for c, m in zip(coords, last))
+            assert any(c.iy == m for c, m in zip(coords, last))
+            self.check(tree, cut)
+
+    def test_cells_at_max_depth_53(self):
+        # At 0.5 the float spacing is 2**-53, exactly the width of a
+        # depth-53 cell of the unit box: piles one step apart share an edge,
+        # piles two steps apart do not touch.
+        ulp = 2.0 ** -53
+        bodies = (self.pile(0.5, 0.25, 2, 0) + self.pile(0.5 + ulp, 0.25, 2, 2)
+                  + self.pile(0.5 + 3 * ulp, 0.25, 2, 4)
+                  + self.pile(0.5 + 3 * ulp, 0.25 + ulp, 2, 6))
+        tree = build_tree(bodies, UNIT_BOX, 1, 53)
+        cut = CellSet.from_tree(tree, 40)
+        assert {c.depth for c in cut.coords()} == {53}
+        assert len(cut) == 4
+        assert len(self.check(tree, cut)) == 2
+
+    def test_single_cell(self):
+        bodies = self.pile(0.3, 0.7, 1, 0)
+        tree = build_tree(bodies, UNIT_BOX, 1)
+        cut = CellSet.from_tree(tree, 0)
+        assert group_cells2(cut, tree) == [frozenset({CellCoord(0, 0, 0)})]
+        lone = [CellCoord(5, 31, 0)]
+        assert group_cells2(lone, tree) == [frozenset(lone)]
+
+    def test_plain_iterable_pool(self):
+        for seed in range(90, 100):
+            tree, cut = random_cut(seed)
+            want = brute_force_groups(cut.coords())
+            assert as_partition(group_cells2(sorted(cut.coords()), tree)) == want
+            assert as_partition(group_cells2(iter(cut.coords()), tree)) == want
+            assert as_partition(group_cells2(list(cut.coords()) * 2, tree)) == want
+
+    def test_nested_pools_match_the_oracle(self):
+        # Cells that contain one another touch; a pool need not be a tree cut.
+        rng = random.Random(2024)
+        tree, _ = uniform_tree(5, seed=1)
+        for _ in range(200):
+            pool = set()
+            for _ in range(rng.randrange(1, 25)):
+                d = rng.randrange(0, 5)
+                pool.add(CellCoord(d, rng.randrange(1 << d), rng.randrange(1 << d)))
+            want = brute_force_groups(pool)
+            assert as_partition(group_cells2(pool, tree)) == want
+            assert as_partition(group_cells(pool)) == want
+
+    def test_partition_ignores_seed_and_input_order(self):
+        for seed in (7, 8, 9):
+            tree, cut = random_cut(seed)
+            coords = sorted(cut.coords())
+            baseline = as_partition(group_cells2(cut, tree))
+            rng = random.Random(seed)
+            for k in range(6):
+                rng.shuffle(coords)
+                assert as_partition(group_cells2(coords, tree, seed=k)) == baseline
+            assert baseline == brute_force_groups(coords)

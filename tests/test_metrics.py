@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from orgtree import metrics
 from orgtree.detect import CellSet, group_cells2, organizations_from
 from orgtree.geometry import Vec2
 from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_RAW, WeightedGraph,
@@ -11,7 +12,7 @@ from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_RAW, WeightedGraph,
                              organization_partition)
 from orgtree.ntree import Body, build_tree
 from conftest import BOX_100, clustered_bodies, uniform_bodies
-from oracles import modularity_literal
+from oracles import interaction_weights_reference, modularity_literal
 
 
 def graph_from(weights):
@@ -51,6 +52,46 @@ class TestInteractionGraph:
         bodies = uniform_bodies(3, seed=1)
         with pytest.raises(ValueError):
             interaction_graph(bodies, "sigmoid")
+
+
+TRANSFORM_CASES = [("inverse", 1.0), ("gaussian", 0.5), ("gaussian", 2.0), ("raw", 1.0)]
+
+
+class TestInteractionWeightsEqualTheReference:
+    """The blocked weight fill equals the N x N x 2 tensor formula byte for byte."""
+
+    @staticmethod
+    def assert_same(bodies, transform, sigma):
+        got = interaction_graph(bodies, transform, sigma=sigma).weights
+        want = interaction_weights_reference(bodies, transform, sigma)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("transform, sigma", TRANSFORM_CASES)
+    def test_two_bodies(self, transform, sigma):
+        bodies = uniform_bodies(2, seed=4, box=BOX_100)
+        self.assert_same(bodies, transform, sigma)
+
+    @pytest.mark.parametrize("transform, sigma", TRANSFORM_CASES)
+    def test_coincident_bodies(self, transform, sigma):
+        bodies = uniform_bodies(30, seed=5, box=BOX_100)
+        bodies.append(Body(30, 0, bodies[7].position, Vec2(0.0, 0.0), 1.0))
+        self.assert_same(bodies, transform, sigma)
+        if transform == "inverse":
+            assert interaction_graph(bodies).weights[7, 30] == 1.0 / metrics.INVERSE_EPSILON
+
+    @pytest.mark.parametrize("transform, sigma", TRANSFORM_CASES)
+    def test_blob_scene_of_2400_bodies(self, transform, sigma):
+        bodies = clustered_bodies([(30.0, 30.0), (70.0, 40.0), (45.0, 75.0)],
+                                  800, 7.0, seed=12)
+        self.assert_same(bodies, transform, sigma)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64, 1000])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, rows):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+        bodies = uniform_bodies(130, seed=6, box=BOX_100)
+        for transform, sigma in TRANSFORM_CASES:
+            self.assert_same(bodies, transform, sigma)
 
 
 class TestModularity:

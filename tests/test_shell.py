@@ -491,3 +491,20 @@ def test_render_of_malformed_organizations_exits_1(tmp_path, capsys, organizatio
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"config error: {path}: step 0: malformed frame: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    (5, "top-level config must be an object"),
+    ({"species": []}, "species must be a non-empty list"),
+])
+@pytest.mark.parametrize("command", ["detect", "render"])
+def test_invalid_header_config_exits_1_naming_the_trace(tmp_path, capsys, command, config,
+                                                        message):
+    path = run_simulation(config_from_dict(SMALL_CONFIG), tmp_path, steps=0)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({"config": config, "version": 1})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = ["--depth", "3"] if command == "detect" else ["--out", str(tmp_path / "f.svg")]
+    code = main([command, "--trace", str(path), "--step", "0", *out])
+    assert code == 1
+    assert capsys.readouterr().err == f"config error: {path}: header: {message}\n"
