@@ -23,17 +23,17 @@ max_speed.  All boids read the pre-step state only, then positions advance by
 dt * v' and the tree is rebuilt, so the update is synchronous and independent
 of processing order.
 
-The update runs batched: one tree-pruned radius query (ntree.radius_hits)
-finds every boid's neighbours in the order the scalar query_radius_bodies
-returns them, every term is computed with the same float operations as a
-one-boid-at-a-time loop, and each sum adds its terms in neighbour order from
-0.0 with np.add.accumulate, never pairwise.  The result therefore equals that
-scalar loop bit for bit; the loop itself is kept as the test reference.  A
-pair whose d^3 is 0 (coincident, or so close that it underflows) raises
-ZeroDistanceError for the pair the scalar loop meets first: the lowest boid
-id, its same-species neighbours before the others.  Reflection folds a jump
-of many box widths in closed form, and a non-finite displacement is a
-DynamicsError naming the boid.
+The update runs batched over the tree's rows: one tree-pruned radius query
+(ntree.radius_hits) finds every boid's neighbours in the order the scalar
+query_radius_bodies returns them, every term is computed with the same float
+operations as a one-boid-at-a-time loop, and each sum adds its terms in
+neighbour order from 0.0 with np.add.accumulate, never pairwise.  The result
+therefore equals that scalar loop bit for bit; the loop itself is kept as the
+test reference.  A pair whose d^3 is 0 (coincident, or so close that it
+underflows) raises ZeroDistanceError for the pair the scalar loop meets
+first: the lowest boid id, its same-species neighbours before the others.
+Reflection folds a jump of many box widths in closed form, and a non-finite
+displacement is a DynamicsError naming the boid.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DynamicsError, ZeroDistanceError
 from .geometry import AABB, Vec2
-from .ntree import Body, NTree, build_tree, columns, flatten, radius_hits
+from .ntree import Body, NTree, build_tree, columns, radius_hits
 
 COHESION_NORMALIZED = "normalized"
 COHESION_LITERAL = "literal"
@@ -159,17 +159,14 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
     loop and summed in neighbour order, so the result equals that loop bit
     for bit.
     """
-    params = state.params
-    flat = flatten(state.tree)
-    keys = "position.x position.y velocity.x velocity.y species"
-    bx, by, bvx, bvy, bsp = columns(flat.bodies, keys)
-    bid, = columns(flat.bodies, "id", np.intp)
+    params, tree = state.params, state.tree
+    n = len(tree.first) - 1
+    # Bodies in depth-first order, the tree's body rows.
+    bx, by, bid = tree.cx[n:], tree.cy[n:], tree.id[n:]
+    bvx, bvy, bsp = (c[tree.order] for c in columns(state.bodies, "velocity.x velocity.y species"))
     # Targets in depth-first order keep the neighbourhoods of a chunk alike.
-    if j is None:
-        tx, ty, tvx, tvy, tsp, tid = bx, by, bvx, bvy, bsp, bid
-    else:
-        tx, ty, tvx, tvy, tsp = columns([state.by_id[j]], keys)
-        tid, = columns([state.by_id[j]], "id", np.intp)
+    targets = slice(None) if j is None else bid == state.by_id[j].id
+    tx, ty, tvx, tvy, tsp, tid = (c[targets] for c in (bx, by, bvx, bvy, bsp, bid))
 
     def coef(name: str) -> np.ndarray:  # a species setting per target
         return np.array([getattr(sp, name) for sp in params.species])[tsp.astype(np.intp)]
@@ -178,7 +175,7 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
     # the others; then the same-species neighbour count.
     sums = np.zeros((10, len(tx)))
     singular: list[tuple] = []
-    for a, b, t, nb, d2 in radius_hits(flat, tx, ty, coef("neighbor_radius")):
+    for a, b, t, nb, d2 in radius_hits(tree, tx, ty, coef("neighbor_radius")):
         mine = bid[nb] != tid[t]
         t, nb, d2 = t[mine], nb[mine], d2[mine]
         other = bsp[nb] - tsp[t]  # nonzero for a neighbour of another species
@@ -233,10 +230,8 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
         vx[over] = np.nextafter(vx[over], 0.0)
         vy[over] = np.nextafter(vy[over], 0.0)
         over = over[vx[over] * vx[over] + vy[over] * vy[over] > limit[over] * limit[over]]
-    if j is None:  # depth-first to id order, without a numpy sort
-        index = {b.id: k for k, b in enumerate(state.bodies)}
-        rank = np.fromiter(map(index.__getitem__, tid.tolist()), np.intp, len(tid))
-        vx[rank], vy[rank] = vx.copy(), vy.copy()
+    if j is None:  # depth-first to id order: the tree was built from state.bodies
+        vx[tree.order], vy[tree.order] = vx.copy(), vy.copy()
     return vx, vy
 
 

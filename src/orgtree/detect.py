@@ -156,26 +156,30 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
     assigned by descending member count, ties broken by the smallest cell
     coordinate, so output order is deterministic.
     """
-    position = {b.id: b.position for b in tree.bodies}
+    n = len(tree.first) - 1
+    first, count, ids = tree.first.tolist(), tree.count.tolist(), tree.id.tolist()
+    px, py = tree.cx.tolist(), tree.cy.tolist()
+    row = {c: k for k, c in enumerate(zip(*tree.coords.tolist()))}  # node rows by coordinate
     protos = []
     for raw in groups:
         cell_group = frozenset(raw)
         if not cell_group:
             continue
-        members: list[int] = []
-        for coord in sorted(cell_group):
-            leaf = tree.leaf_at(coord)
-            if leaf is None:
-                raise ValueError(
-                    f"cell ({coord.depth}, {coord.ix}, {coord.iy}) is not a leaf of the tree")
-            members.extend(b.id for b in leaf.bodies)
-        members.sort()
-        pts = [position[i] for i in members]
-        centroid = Vec2(fsum(p.x for p in pts) / len(pts),
-                        fsum(p.y for p in pts) / len(pts))
-        bbox = AABB(Vec2(min(p.x for p in pts), min(p.y for p in pts)),
-                    Vec2(max(p.x for p in pts), max(p.y for p in pts)))
-        protos.append((cell_group, tuple(members), centroid, bbox))
+        rows: list[int] = []
+        for c in sorted(cell_group):
+            k = row.get((c.depth, c.ix, c.iy))
+            parent = row.get((c.depth - 1, c.ix >> 1, c.iy >> 1))
+            if k is not None and first[k] >= n:  # a leaf row
+                rows.extend(range(first[k], first[k] + count[k]))
+            elif k is not None or parent is None or first[parent] >= n:
+                # not an empty leaf either, the rowless child of an internal row
+                raise ValueError(f"cell ({c.depth}, {c.ix}, {c.iy}) is not a leaf of the tree")
+        rows.sort(key=ids.__getitem__)  # by member id
+        members = tuple(ids[k] for k in rows)
+        xs, ys = [px[k] for k in rows], [py[k] for k in rows]
+        centroid = Vec2(fsum(xs) / len(xs), fsum(ys) / len(ys))
+        bbox = AABB(Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys)))
+        protos.append((cell_group, members, centroid, bbox))
 
     protos.sort(key=lambda t: (-len(t[1]), min(t[0])))
     return [Organization(i, cells, members, centroid, bbox)

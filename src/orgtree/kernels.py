@@ -14,10 +14,10 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.
 
-tree_fields runs block-batched: blocks of targets walk the flat view of the
-tree (ntree.flatten) as one level-synchronous numpy frontier.  Every target
-keeps exactly the terms of its own depth-first walk, so the result equals that
-walk bit for bit at every theta, and scratch memory is bounded per block of
+tree_fields runs block-batched: blocks of targets walk the tree's rows
+(ntree.NTree) as one level-synchronous numpy frontier.  Every target keeps
+exactly the terms of its own depth-first walk, so the result equals that walk
+bit for bit at every theta, and scratch memory is bounded per block of
 ~_BLOCK_TERMS terms.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import SingularPairError
 from .geometry import Vec2
-from .ntree import Body, NTree, _pow2, columns, flatten
+from .ntree import Body, NTree, _pow2
 
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
@@ -128,24 +128,17 @@ def _direct(bodies: list[Body], targets, params: KernelParams) -> list[Vec2]:
     return out
 
 
-def _fields(tree: NTree, targets: list[Vec2], target_ids: list[int],
+def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
             params: KernelParams) -> list[Vec2]:
-    """Fields at targets, in blocks sized from the terms per target of the last block.
+    """Fields at targets (tx, ty) with ids tid (-1 for none), in blocks sized
+    from the terms per target of the last block.
 
     Each (target, row) pair decides and builds its term as its target's
     depth-first walk does, with the same operations in the same order; numpy
     rounds them like Python and fuses none, and fsum ignores term order.
     """
-    flat = flatten(tree)
-    box, first, count = flat.box, flat.first, flat.count
-    n = len(first) - 1
-    # Body i is row n + i: node rows, then body rows (ids -2 for nodes).
-    own = columns(flat.bodies, "position.x position.y charge") + columns(flat.bodies, "id", np.int64)
-    cx, cy, charge, ids = (np.concatenate(c) for c in zip(
-        (flat.cx[:n], flat.cy[:n], flat.charge[:n], np.full(n, -2)), own))
-    del flat, own  # the body list and columns are not needed for the sweep
-    tx, ty = columns(targets, "x y")
-    tid = np.maximum(np.array(target_ids, dtype=np.int64), -1)  # no target owns a node row
+    box, first, count = tree.box, tree.first, tree.count
+    cx, cy, charge, ids = tree.cx, tree.cy, tree.charge, tree.id  # node rows have id -2
     eps2, th2 = params.softening * params.softening, params.theta * params.theta
     out: list[Vec2] = []
     size = 1
@@ -201,9 +194,11 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
     and always opens, as does one whose box holds the target: with signed
     charges its far-off center could pass the test and fold in the target.
     """
-    return _fields(tree, [target], [target_id], params)[0]
+    return _fields(tree, np.array([target.x]), np.array([target.y]),
+                   np.array([max(target_id, -1)]), params)[0]
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     """Tree-accelerated field at every tree body, in tree.bodies order."""
-    return _fields(tree, [b.position for b in tree.bodies], [b.id for b in tree.bodies], params)
+    rows = len(tree.first) - 1 + np.argsort(tree.order)  # the body rows in input order
+    return _fields(tree, tree.cx[rows], tree.cy[rows], tree.id[rows], params)

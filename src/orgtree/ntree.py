@@ -10,9 +10,12 @@ exceeds it.  Bodies that coincide or nearly coincide pile up in a leaf at
 Child order everywhere is the fixed offset order (0,0), (1,0), (0,1), (1,1),
 which makes traversals, queries, and aggregate sums reproducible bit for bit.
 
-`flatten` gives the batched consumers (Barnes-Hut fields and boids
-neighbourhoods) one shared numpy view of a built tree; `radius_hits` is the
-batched form of `query_radius_bodies` over that view.
+The tree is stored once, as numpy rows (see `NTree`): the non-empty nodes
+breadth-first, then the bodies depth-first (Z/Morton order; Warren & Salmon
+1993).  Barnes-Hut fields, boids neighbourhoods and detection all read these
+rows; `radius_hits` is the batched form of `query_radius_bodies` over them.
+`NTree.root` builds a read-only `Node` view of the rows on demand for callers
+that walk the tree as objects.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +60,10 @@ class Body:
             raise ValueError(f"body {self.id} has a non-finite component")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Node:
-    """One tree cell.  Internal nodes have exactly four children; leaves hold bodies.
-
-    The box bounds are duplicated as flat floats; query and field traversals
-    visit hundreds of thousands of nodes per run and the flattened reads keep
-    those loops cheap.
+    """One tree cell, as `NTree.root` views it.  Internal nodes have exactly
+    four children; leaves hold bodies.  lo_x .. hi_y repeat the box bounds.
     """
 
     coord: CellCoord
@@ -83,48 +82,90 @@ class Node:
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def aggregates(self) -> tuple[int, float, Vec2 | None]:
-        """(count, total charge, charge-weighted centroid; None when undefined).
 
-        The centroid is undefined for empty nodes and for nodes whose signed
-        charges cancel exactly.
-        """
-        return self.count, self.total_charge, self.center_of_charge
-
-
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NTree:
+    """A built tree: its bodies and settings, and the tree as numpy rows.
+
+    Rows 0 .. n-1 are the non-empty nodes breadth-first: coords stacks their
+    depth, ix and iy, and box their lo_x, lo_y, hi_x, hi_y and side^2.  An
+    internal node's children are rows first .. first + count - 1.  Row n + i
+    of cx, cy, charge and id is body i of the depth-first order,
+    bodies[order[i]], and a leaf's first is n + its first body; node rows
+    hold the center of charge (NaN when the charges cancel), the total charge
+    and id -2.  Column n of box, first and count is a sentinel: an empty box
+    (lo +inf, hi -inf) with side^2 = -1, which a clipped read of a body row
+    lands on.
+    """
+
     bodies: tuple[Body, ...]
     root_box: AABB
     capacity: int
     max_depth: int
-    root: Node = field(repr=False)
+    box: np.ndarray = field(repr=False)
+    first: np.ndarray = field(repr=False)
+    count: np.ndarray = field(repr=False)
+    coords: np.ndarray = field(repr=False)
+    cx: np.ndarray = field(repr=False)
+    cy: np.ndarray = field(repr=False)
+    charge: np.ndarray = field(repr=False)
+    id: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    _walk: list | None = field(default=None, init=False, repr=False)  # see query_radius_bodies
+
+    @property
+    def root(self) -> Node:
+        """The tree as read-only Node objects, built from the rows on each access."""
+        return self._view()[0]
 
     def leaves(self) -> list[Node]:
         """All leaf nodes, empty ones included, in traversal order."""
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children is None:
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return out
+        return self._view()[1]
+
+    def _view(self) -> tuple[Node, list[Node]]:
+        """The root Node and the leaves in traversal order.  Empty children,
+        which have no row, are made from their cell_box.
+        """
+        n = len(self.first) - 1
+        first, count, q, cx, cy = (a.tolist() for a in (
+            self.first, self.count, self.charge[:n], self.cx[:n], self.cy[:n]))
+        row = {c: k for k, c in enumerate(zip(*self.coords.tolist()))}
+        bodies = [self.bodies[i] for i in self.order.tolist()]
+        leaves: list[Node] = []
+
+        def view(coord: CellCoord, box: AABB) -> Node:
+            k = row.get((coord.depth, coord.ix, coord.iy))
+            kids, held, total, com = None, (), 0.0, None
+            if k is not None:
+                total = q[k]
+                com = Vec2(cx[k], cy[k]) if total != 0.0 else None
+                if first[k] >= n:
+                    held = tuple(bodies[first[k] - n:first[k] - n + count[k]])
+                else:
+                    kids = tuple(view(c, cell_box(self.root_box, c)) for c in child_coords(coord))
+            size = len(held) if kids is None else sum(kid.count for kid in kids)
+            node = Node(coord, box, kids, held, size, total, com,
+                        box.lo.x, box.lo.y, box.hi.x, box.hi.y)
+            if kids is None:
+                leaves.append(node)
+            return node
+
+        return view(CellCoord(0, 0, 0), self.root_box), leaves
 
     def leaf_cells(self, min_depth: int = 0) -> dict[CellCoord, tuple[int, ...]]:
         """Non-empty leaf cells at depth >= min_depth, mapped to their body ids.
 
         The depth cut is inclusive, so deeper leaves always survive a cut that
-        their shallower siblings pass.
+        their shallower siblings pass.  Cells come in depth-first order.
         """
         if min_depth < 0:
             raise ValueError(f"negative depth threshold: {min_depth}")
-        out: dict[CellCoord, tuple[int, ...]] = {}
-        for node in self.leaves():
-            if node.count > 0 and node.coord.depth >= min_depth:
-                out[node.coord] = tuple(b.id for b in node.bodies)
-        return out
+        n = len(self.first) - 1
+        rows = np.flatnonzero((self.first[:n] >= n) & (self.coords[0] >= min_depth))
+        rows = rows[np.argsort(self.first[rows])]
+        ids = self.id[n:].tolist()
+        return {CellCoord(d, x, y): tuple(ids[f - n:f - n + k]) for d, x, y, f, k in zip(
+            *self.coords[:, rows].tolist(), self.first[rows].tolist(), self.count[rows].tolist())}
 
     def query_radius(self, center: Vec2, radius: float) -> list[int]:
         """Ids of the bodies query_radius_bodies returns, in the same order."""
@@ -138,9 +179,23 @@ class NTree:
         leaf order within a leaf.  Bodies are then filtered by exact squared
         distance: no square root is taken and a body exactly on the radius is
         always included.
+
+        A scalar walk over the rows.  The first call stores them on the tree,
+        in one assignment, as Python tuples: the box, whether it is a leaf, and
+        its bodies or its child rows in reverse.  Numpy reads took the walk
+        about twice as long.
         """
         if radius < 0:
             raise ValueError(f"negative query radius: {radius}")
+        if self._walk is None:
+            n = len(self.first) - 1
+            bodies = [self.bodies[i] for i in self.order.tolist()]
+            object.__setattr__(self, "_walk", [
+                (*box, True, tuple(bodies[f - n:f - n + k])) if f >= n
+                else (*box, False, range(f + k - 1, f - 1, -1))
+                for *box, f, k in zip(*self.box[:4].tolist(), self.first.tolist(),
+                                      self.count.tolist())])
+        rows = self._walk
         cx = center.x
         cy = center.y
         qlo_x = cx - radius
@@ -149,167 +204,134 @@ class NTree:
         qhi_y = cy + radius
         r2 = radius * radius
         out: list[Body] = []
-        stack = [self.root]
+        stack = [0]  # the root, or in an empty tree the sentinel and its empty box
         while stack:
-            node = stack.pop()
-            if node.count == 0:
+            lo_x, lo_y, hi_x, hi_y, leaf, items = rows[stack.pop()]
+            if lo_x > qhi_x or qlo_x > hi_x or lo_y > qhi_y or qlo_y > hi_y:
                 continue
-            if (node.lo_x > qhi_x or qlo_x > node.hi_x
-                    or node.lo_y > qhi_y or qlo_y > node.hi_y):
-                continue
-            if node.children is None:
-                for b in node.bodies:
+            if leaf:
+                for b in items:
                     p = b.position
                     dx = p.x - cx
                     dy = p.y - cy
                     if dx * dx + dy * dy <= r2:
                         out.append(b)
             else:
-                stack.extend(reversed(node.children))
+                stack.extend(items)
         return out
 
     def leaf_at(self, coord: CellCoord) -> Node | None:
         """The leaf with exactly this coordinate, or None when no such leaf exists."""
-        node = self.root
-        while node.coord != coord:
-            if node.children is None:
-                return None
-            if coord.depth <= node.coord.depth:
-                return None
-            shift = coord.depth - node.coord.depth - 1
-            cx = (coord.ix >> shift) & 1
-            cy = (coord.iy >> shift) & 1
-            node = node.children[cx + 2 * cy]
-        return node if node.children is None else None
-
-    def dump_leaves(self) -> str:
-        """Debug dump, one sorted line per leaf: `depth ix iy count`."""
-        rows = sorted((n.coord, n.count) for n in self.leaves())
-        return "\n".join(f"{c.depth} {c.ix} {c.iy} {k}" for c, k in rows)
+        return next((leaf for leaf in self.leaves() if leaf.coord == coord), None)
 
 
+@np.errstate(all="ignore")  # like Python floats: overflow and NaN in a huge box pass silently
 def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NTree:
     """Build the quadtree for a snapshot of bodies.
 
     Splitting is triggered by count > capacity, so a cell holding exactly
     `capacity` bodies stays a leaf.  Bodies sitting exactly on a split line go
     to the child with the larger index; a body on the root's upper boundary
-    therefore still lands in a valid leaf.  All four children are materialized
-    on a split, empty ones as empty leaves.
+    therefore still lands in a valid leaf.  A split has all four children;
+    the empty ones get no row.
+
+    Cells split level by level: a stable partition on x >= split_x and
+    y >= split_y, the split lines taken as cell_box takes them, keeps each
+    cell's bodies in input order.  Leaf sums run over a leaf's bodies in that
+    order and parent sums over the four children in child order, each from
+    0.0, so every aggregate is the float a recursive build would compute.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be at least 1, got {capacity}")
     if max_depth < 0:
         raise ValueError(f"negative max_depth: {max_depth}")
+    if max_depth > 53:  # past it ix * w in cell_box is inexact, and int64 ix overflows past 62
+        raise ValueError(f"max_depth must be at most 53, got {max_depth}")
     bodies = tuple(bodies)
-    seen: set[int] = set()
-    for b in bodies:
-        if b.id in seen:
+    x, y, charge = columns(bodies, "position.x position.y charge")
+    ids, = columns(bodies, "id", np.int64)  # OverflowError for an id from 2**63 on
+    dup = np.ones(len(ids), dtype=bool)
+    dup[np.unique(ids, return_index=True)[1]] = False
+    lo, hi = root_box.lo, root_box.hi
+    outside = ~((lo.x <= x) & (x <= hi.x) & (lo.y <= y) & (y <= hi.y))
+    for k in np.flatnonzero(dup | outside)[:1].tolist():  # the first bad body, as a loop meets it
+        b = bodies[k]
+        if dup[k]:
             raise ValueError(f"duplicate body id: {b.id}")
-        seen.add(b.id)
-        if not root_box.contains(b.position):
-            raise ValueError(
-                f"body {b.id} at ({b.position.x}, {b.position.y}) lies outside the root box")
-    root, _, _, _ = _build(list(bodies), CellCoord(0, 0, 0), root_box,
-                           root_box, capacity, max_depth)
-    return NTree(bodies=bodies, root_box=root_box, capacity=capacity,
-                 max_depth=max_depth, root=root)
+        raise ValueError(
+            f"body {b.id} at ({b.position.x}, {b.position.y}) lies outside the root box")
+
+    perm = np.arange(len(bodies))  # becomes the depth-first order
+    ix = iy = start = np.zeros(1 if bodies else 0, dtype=np.int64)
+    size = np.full(len(ix), len(bodies))
+    # Per depth its rows; per split row, breadth-first, its non-empty children.
+    levels, fans = [], [np.zeros(0, np.int64)]
+    while True:
+        split = (size > capacity) & (len(levels) < max_depth)
+        levels.append((ix, iy, start, size, split, np.full(len(size), len(levels))))
+        ix, iy, start, size = ix[split], iy[split], start[split], size[split]
+        if not len(size):
+            break
+        owner = np.repeat(np.arange(len(size)), size)
+        base = start - np.cumsum(size) + size  # a split cell's offset in perm minus in `at`
+        at = np.arange(len(owner)) + np.repeat(base, size)
+        inside = perm[at]
+        w, h = root_box.width / (1 << len(levels)), root_box.height / (1 << len(levels))
+        right = x[inside] >= (lo.x + (2 * ix + 1) * w)[owner]
+        up = y[inside] >= (lo.y + (2 * iy + 1) * h)[owner]
+        cell = owner * 4 + right + 2 * up  # (split cell, child) in child order
+        perm[at] = inside[np.argsort(cell, kind="stable")]
+        kids = np.bincount(cell, minlength=4 * len(size))
+        fans.append(np.count_nonzero(kids.reshape(-1, 4), axis=1))
+        offset = np.cumsum(kids) - kids + np.repeat(base, 4)
+        ix = (2 * ix[:, None] + [0, 1, 0, 1]).reshape(-1)[kids > 0]
+        iy = (2 * iy[:, None] + [0, 0, 1, 1]).reshape(-1)[kids > 0]
+        start, size = offset[kids > 0], kids[kids > 0]
+
+    ix, iy, start, size, split, depth = (np.concatenate(c) for c in zip(*levels))
+    n, fan = len(ix), np.concatenate(fans)
+    first, count = np.append(n + start, 0), np.append(size, 0)
+    first[:n][split] = 1 + np.cumsum(fan) - fan  # children follow breadth-first
+    count[:n][split] = fan
+
+    box = np.empty((5, n + 1))
+    box[:, n] = (math.inf, math.inf, -math.inf, -math.inf, -1.0)
+    w, h = root_box.width / (1 << depth), root_box.height / (1 << depth)
+    box[:4, :n] = lo.x + ix * w, lo.y + iy * h, lo.x + (ix + 1) * w, lo.y + (iy + 1) * h
+    box[:4, :min(n, 1)] = [[lo.x], [lo.y], [hi.x], [hi.y]]  # the root keeps root_box
+    side = np.maximum(box[2, :n] - box[0, :n], box[3, :n] - box[1, :n])
+    box[4, :n] = side * side
+
+    bx, by, bq = x[perm], y[perm], charge[perm]
+    sums = np.zeros((3, n))  # charge, charge * x, charge * y
+    sums[:, ~split] = _ordered_sums(np.stack([bq, bq * bx, bq * by]), start[~split],
+                                    size[~split])
+    for d in range(len(levels) - 2, -1, -1):  # parents after their children
+        parents = np.flatnonzero(split & (depth == d))
+        sums[:, parents] = _ordered_sums(sums, first[parents], count[parents])
+    q, wx, wy = sums
+    cx = np.where(q != 0.0, wx / q, math.nan)  # a cancelled node's center is NaN
+    cy = np.where(q != 0.0, wy / q, math.nan)
+    return NTree(bodies=bodies, root_box=root_box, capacity=capacity, max_depth=max_depth,
+                 box=box, first=first, count=count, coords=np.stack([depth, ix, iy]),
+                 cx=np.concatenate([cx, bx]), cy=np.concatenate([cy, by]),
+                 charge=np.concatenate([q, bq]),
+                 id=np.concatenate([np.full(n, -2), ids[perm]]), order=perm)
 
 
-def _build(items: list[Body], coord: CellCoord, box: AABB, root_box: AABB,
-           capacity: int, max_depth: int) -> tuple[Node, float, float, float]:
-    # Returns the node plus raw (charge, charge*x, charge*y) sums.  Raw sums
-    # propagate bottom-up so a parent centroid stays exact even when a child's
-    # signed charges cancel and its own centroid is undefined.
-    if len(items) <= capacity or coord.depth >= max_depth:
-        q = 0.0
-        wx = 0.0
-        wy = 0.0
-        for b in items:
-            q += b.charge
-            wx += b.charge * b.position.x
-            wy += b.charge * b.position.y
-        com = Vec2(wx / q, wy / q) if q != 0.0 else None
-        node = Node(coord, box, None, tuple(items), len(items), q, com,
-                    box.lo.x, box.lo.y, box.hi.x, box.hi.y)
-        return node, q, wx, wy
+def _ordered_sums(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Each row of values summed over every span start .. start + size - 1.
 
-    kid_coords = child_coords(coord)
-    kid_boxes = tuple(cell_box(root_box, k) for k in kid_coords)
-    split_x = kid_boxes[1].lo.x
-    split_y = kid_boxes[2].lo.y
-    buckets: tuple[list[Body], ...] = ([], [], [], [])
-    for b in items:
-        i = (1 if b.position.x >= split_x else 0) + (2 if b.position.y >= split_y else 0)
-        buckets[i].append(b)
-
-    kids = []
-    count = 0
-    q = 0.0
-    wx = 0.0
-    wy = 0.0
-    for kc, kb, bucket in zip(kid_coords, kid_boxes, buckets):
-        child, cq, cwx, cwy = _build(bucket, kc, kb, root_box, capacity, max_depth)
-        kids.append(child)
-        count += child.count
-        q += cq
-        wx += cwx
-        wy += cwy
-    com = Vec2(wx / q, wy / q) if q != 0.0 else None
-    node = Node(coord, box, (kids[0], kids[1], kids[2], kids[3]), (), count, q, com,
-                box.lo.x, box.lo.y, box.hi.x, box.hi.y)
-    return node, q, wx, wy
-
-
-class FlatTree(NamedTuple):
-    """A built tree as numpy columns plus its bodies in depth-first order.
-
-    Rows 0 .. n-1 are the non-empty nodes breadth-first, so the children of
-    node k are the rows first[k] .. first[k] + count[k] - 1.  `bodies` lists
-    the bodies leaf by leaf depth-first, so each leaf's bodies are contiguous:
-    a leaf's first is n plus the index of its first body and its count is its
-    body count, which makes body i row n + i of any column a caller extends
-    with per-body values.  box stacks lo_x, lo_y, hi_x, hi_y and side^2; a
-    cancelled node's center (cx, cy) is NaN.  Row n of every column is a
-    sentinel: an empty box (lo +inf, hi -inf) with side^2 = -1, which a
-    clipped read of a body row lands on.
+    A sum adds its span's values one at a time in order from 0.0, as a Python
+    loop does: round j adds the j-th value of every span that has one.  A sum
+    begun at 0.0 is never -0.0, so leaving an empty child's 0.0 out of a
+    parent's span changes nothing.
     """
-
-    box: np.ndarray
-    first: np.ndarray
-    count: np.ndarray
-    cx: np.ndarray
-    cy: np.ndarray
-    charge: np.ndarray
-    bodies: list[Body]
-
-
-def flatten(tree: NTree) -> FlatTree:
-    """The flat view of a tree that the batched field and boids code share."""
-    order = [(tree.root, 0)] if tree.root.count else []
-    bodies = list(tree.bodies)
-
-    def rows():
-        for node, start in order:
-            first = len(order)
-            for kid in node.children or ():
-                if kid.count:
-                    order.append((kid, start))
-                start += kid.count
-            if node.children is None:
-                bodies[start:start + node.count] = node.bodies
-                first = ~start
-            com = node.center_of_charge or Vec2(math.nan, math.nan)
-            side = max(node.hi_x - node.lo_x, node.hi_y - node.lo_y)
-            yield (node.lo_x, node.lo_y, node.hi_x, node.hi_y, side * side, first,
-                   len(order) - first if first >= 0 else node.count,
-                   com.x, com.y, node.total_charge)
-        yield (math.inf, math.inf, -math.inf, -math.inf, -1.0, 0, 0, 0.0, 0.0, 0.0)
-
-    table = np.fromiter(rows(), "f8,f8,f8,f8,f8,i8,i8,f8,f8,f8")
-    *box, first, count, cx, cy, charge = (table[f] for f in table.dtype.names)
-    first[first < 0] = len(order) + ~first[first < 0]
-    return FlatTree(np.stack(box), first, count, cx, cy, charge, bodies)
+    acc = np.zeros((len(values), len(size)))
+    for j in range(size.max(initial=0)):
+        has = size > j
+        acc[:, has] += values[:, start[has] + j]
+    return acc
 
 
 def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:
@@ -322,7 +344,7 @@ def _pow2(x: float) -> int:
     return 1 << max(round(math.log2(x)), 0) if x > 1 else 1
 
 
-def _near_leaves(flat: FlatTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _near_leaves(tree: NTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
     """(target, leaf row) for every leaf whose box meets the query box of a
     target in lo .. hi-1, sorted by target, then depth-first.
 
@@ -331,7 +353,7 @@ def _near_leaves(flat: FlatTree, query, lo: int, hi: int) -> tuple[np.ndarray, n
     a leaf by itself, so the frontier stays in depth-first order and ends as
     the leaves met.
     """
-    box, first, count = flat.box, flat.first, flat.count
+    box, first, count = tree.box, tree.first, tree.count
     n = len(first) - 1
     inner = first < n
     fan = np.where(inner, count, 1)
@@ -354,25 +376,25 @@ def _near_leaves(flat: FlatTree, query, lo: int, hi: int) -> tuple[np.ndarray, n
         row = np.arange(len(t)) + np.repeat(base[row] - np.cumsum(k) + k, k)
 
 
-def radius_hits(flat: FlatTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
-    """query_radius_bodies for many centers at once, over a flattened tree.
+def radius_hits(tree: NTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
+    """query_radius_bodies for many centers at once, over the tree's rows.
 
     Yields (a, b, target, body, d2) chunk by chunk for consecutive targets
-    a .. b-1: the target indexes x, y and radius, body is the index into the
-    flat tree's depth-first body list and d2 the squared distance.  Each
+    a .. b-1: the target indexes x, y and radius, body is the index in the
+    depth-first body order (row n + body) and d2 the squared distance.  Each
     target's hits come as query_radius_bodies returns them, leaf by leaf
     depth-first and in leaf order, with its inclusive dx*dx + dy*dy <= r*r
     test, so every target gets the same bodies in the same order.
     """
-    first, count = flat.first, flat.count
+    first, count = tree.first, tree.count
     n = len(first) - 1
-    bx, by = columns(flat.bodies, "position.x position.y")
+    bx, by = tree.cx[n:], tree.cy[n:]
     query = (x + radius, x - radius, y + radius, y - radius)
     r2 = radius * radius
     lo, size = 0, _pow2(_BLOCK_PAIRS / 32)  # a first guess of 32 leaves per query
     while lo < len(x):
         hi = min(lo + size, len(x))
-        leaf_t, leaf = _near_leaves(flat, query, lo, hi)
+        leaf_t, leaf = _near_leaves(tree, query, lo, hi)
         size = _pow2(_BLOCK_PAIRS * (hi - lo) / max(len(leaf_t), 1))
         leaf_start, leaf_k = first[leaf] - n, count[leaf]
         del leaf

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -107,7 +108,7 @@ def run_simulation(config: Config, out_dir: str | Path, steps: int) -> Path:
 def _frame_errors(trace_path: str | Path, step: int):
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:  # e.g. a missing key, a repeated id
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # e.g. a repeated id
         raise ConfigError(f"{trace_path}: step {step}: malformed frame: {exc!r}") from exc
 
 
@@ -119,9 +120,11 @@ def _recorded_tree(trace_path: str | Path, step: int):
     except ConfigError as exc:
         raise ConfigError(f"{trace_path}: header: {exc}") from exc
     frame = trace.frame_at(step)
+    charge = {i: sp.charge for i, sp in enumerate(config.species)}  # frames carry no charge
     with _frame_errors(trace_path, step):
-        tree = build_tree(bodies_from_frame_dict(frame), config.world_box(),
-                          config.world.capacity, config.world.max_depth)
+        bodies = [replace(b, charge=charge[b.species]) for b in bodies_from_frame_dict(frame)]
+        tree = build_tree(bodies, config.world_box(), config.world.capacity,
+                          config.world.max_depth)
     return config, frame, tree
 
 

@@ -20,10 +20,10 @@ from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
                            COHESION_NORMALIZED, WorldState)
 from orgtree.detect import CellSet
 from orgtree.errors import SingularPairError, ZeroDistanceError
-from orgtree.geometry import AABB, CellCoord, Vec2, cells_touch
+from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
 from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
                              TRANSFORM_INVERSE)
-from orgtree.ntree import Body, build_tree
+from orgtree.ntree import Body, Node, build_tree
 
 
 @lru_cache(maxsize=None)
@@ -191,6 +191,117 @@ def interaction_weights_reference(bodies, transform: str = TRANSFORM_INVERSE,
         w = dist.copy()
     np.fill_diagonal(w, 0.0)
     return w
+
+
+def build_reference(bodies, root_box: AABB, capacity: int, max_depth: int) -> Node:
+    """The tree of build_tree as Node objects, by recursive splitting.
+
+    The reference for the level-by-level build_tree.  Inputs are not
+    validated.
+    """
+    return _build(list(bodies), CellCoord(0, 0, 0), root_box, root_box, capacity, max_depth)[0]
+
+
+def _build(items: list[Body], coord: CellCoord, box: AABB, root_box: AABB,
+           capacity: int, max_depth: int) -> tuple[Node, float, float, float]:
+    # Returns the node plus raw (charge, charge*x, charge*y) sums.  Raw sums
+    # propagate bottom-up so a parent centroid stays exact even when a child's
+    # signed charges cancel and its own centroid is undefined.
+    if len(items) <= capacity or coord.depth >= max_depth:
+        q = 0.0
+        wx = 0.0
+        wy = 0.0
+        for b in items:
+            q += b.charge
+            wx += b.charge * b.position.x
+            wy += b.charge * b.position.y
+        com = Vec2(wx / q, wy / q) if q != 0.0 else None
+        node = Node(coord, box, None, tuple(items), len(items), q, com,
+                    box.lo.x, box.lo.y, box.hi.x, box.hi.y)
+        return node, q, wx, wy
+
+    kid_coords = child_coords(coord)
+    kid_boxes = tuple(cell_box(root_box, k) for k in kid_coords)
+    split_x = kid_boxes[1].lo.x
+    split_y = kid_boxes[2].lo.y
+    buckets: tuple[list[Body], ...] = ([], [], [], [])
+    for b in items:
+        i = (1 if b.position.x >= split_x else 0) + (2 if b.position.y >= split_y else 0)
+        buckets[i].append(b)
+
+    kids = []
+    count = 0
+    q = 0.0
+    wx = 0.0
+    wy = 0.0
+    for kc, kb, bucket in zip(kid_coords, kid_boxes, buckets):
+        child, cq, cwx, cwy = _build(bucket, kc, kb, root_box, capacity, max_depth)
+        kids.append(child)
+        count += child.count
+        q += cq
+        wx += cwx
+        wy += cwy
+    com = Vec2(wx / q, wy / q) if q != 0.0 else None
+    node = Node(coord, box, (kids[0], kids[1], kids[2], kids[3]), (), count, q, com,
+                box.lo.x, box.lo.y, box.hi.x, box.hi.y)
+    return node, q, wx, wy
+
+
+def flatten_reference(root: Node, bodies) -> dict:
+    """The rows of a reference tree, as NTree lays them out, row by row.
+
+    Returns box, first, count, coords, cx, cy, charge and id as numpy arrays,
+    and the bodies in depth-first order.
+    """
+    order = [(root, 0)] if root.count else []
+    bodies = list(bodies)
+
+    def rows():
+        for node, start in order:
+            first = len(order)
+            for kid in node.children or ():
+                if kid.count:
+                    order.append((kid, start))
+                start += kid.count
+            if node.children is None:
+                bodies[start:start + node.count] = node.bodies
+                first = ~start
+            com = node.center_of_charge or Vec2(math.nan, math.nan)
+            side = max(node.hi_x - node.lo_x, node.hi_y - node.lo_y)
+            c = node.coord
+            yield (node.lo_x, node.lo_y, node.hi_x, node.hi_y, side * side, first,
+                   len(order) - first if first >= 0 else node.count,
+                   com.x, com.y, node.total_charge, c.depth, c.ix, c.iy)
+        yield (math.inf, math.inf, -math.inf, -math.inf, -1.0, 0, 0, 0.0, 0.0, 0.0, 0, 0, 0)
+
+    table = np.fromiter(rows(), "f8,f8,f8,f8,f8,i8,i8,f8,f8,f8,i8,i8,i8")
+    *box, first, count, cx, cy, charge, depth, ix, iy = (table[f] for f in table.dtype.names)
+    n = len(order)
+    first[first < 0] = n + ~first[first < 0]
+    return {
+        "box": np.stack(box), "first": first, "count": count,
+        "coords": np.stack([depth[:n], ix[:n], iy[:n]]),
+        "cx": np.concatenate([cx[:n], [b.position.x for b in bodies]]),
+        "cy": np.concatenate([cy[:n], [b.position.y for b in bodies]]),
+        "charge": np.concatenate([charge[:n], [b.charge for b in bodies]]),
+        "id": np.concatenate([np.full(n, -2), np.array([b.id for b in bodies], dtype=np.int64)]),
+        "bodies": bodies,
+    }
+
+
+def dump_leaves(tree) -> str:
+    """Debug dump, one sorted line per leaf: `depth ix iy count`."""
+    rows = sorted((n.coord, n.count) for n in tree.leaves())
+    return "\n".join(f"{c.depth} {c.ix} {c.iy} {k}" for c, k in rows)
+
+
+def aggregates(node: Node) -> tuple[int, float, Vec2 | None]:
+    """(count, total charge, charge-weighted centroid; None when undefined).
+
+    The centroid is undefined for empty nodes and for nodes whose signed
+    charges cancel exactly.
+    """
+    return node.count, node.total_charge, node.center_of_charge
 
 
 def collect_bodies(node) -> list[Body]:

@@ -11,17 +11,23 @@ import importlib.util
 from pathlib import Path
 
 from conftest import BOX_100, clustered_bodies
+from oracles import build_reference, collect_bodies, linear_radius
 from orgtree import metrics, run
-from orgtree.ntree import build_tree
+from orgtree.geometry import Vec2
+from orgtree.ntree import Body, build_tree
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load("tracing")
 
 
 def test_every_call_site_resolves_through_the_owner_namespace():
@@ -51,3 +57,31 @@ def test_traced_detection_and_graph_reach_their_spans_and_are_restored():
     assert tracer.counts[0]["detect.groups"] >= 1
     assert tracer.counts[0]["metrics.graph_bytes_computed"] == len(bodies) ** 2 * 8
     assert {(id(o), a): vars(o)[a] for o, a, _, _ in tracing.CALL_SITES} == before
+
+
+def test_tree_shape_and_probe_queries_match_the_reference_tree():
+    """The probes read `leaves()`, `.coord`, `.count`, `.capacity` and
+    `query_radius_bodies(Vec2, r)`; their figures equal the reference tree's."""
+    workloads = load("workloads")
+    bodies = clustered_bodies([(30.0, 30.0), (70.0, 70.0)], 60, 4.0, seed=5)
+    bodies += [Body(len(bodies) + k, 0, Vec2(51.0, 49.0), Vec2(0.0, 0.0)) for k in range(4)]
+    tree = build_tree(bodies, BOX_100, 2, max_depth=9)
+    root = build_reference(bodies, BOX_100, 2, 9)
+    nodes, leaves, stack = 0, [], [root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.children is None:
+            leaves.append(node)
+        stack.extend(node.children or ())
+    assert workloads.tree_shape(tree) == {
+        "ntree.nodes": nodes,
+        "ntree.leaves": len(leaves),
+        "ntree.depth_max": 9,
+        "ntree.overfull_leaves": sum(1 for leaf in leaves if leaf.count > 2),
+    }
+    assert workloads.tree_shape(tree)["ntree.overfull_leaves"] == 1
+    everyone = collect_bodies(root)
+    for radius in (0.5, 3.0, 20.0):
+        hits = [len(tree.query_radius_bodies(b.position, radius)) for b in tree.bodies]
+        assert hits == [len(linear_radius(everyone, b.position, radius)) for b in tree.bodies]

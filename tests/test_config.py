@@ -99,6 +99,10 @@ MESSAGES = [
     ("inter_species_gamma", sp(inter_species_gamma=INF),
      "species[0].inter_species_gamma must be a finite number, got inf"),
     ("charge", sp(charge={}), "species[0].charge must be a finite number, got {}"),
+    ("count-total", doc(species=[{"count": 2 ** 19}, {"count": 2 ** 19 + 1}]),
+     "species counts must total at most 1048576, got 1048577"),
+    ("count-huge", sp(count=2 ** 70),
+     "species counts must total at most 1048576, got 1180591620717411303424"),
     ("detection-not-object", doc("detection", 3), "detection must be an object"),
     ("detection-unknown", doc("detection", {"dept": 3}), "unknown key 'dept' in detection"),
     ("depth-str", doc("detection", {"depth": "x"}), "detection.depth must be an integer, got 'x'"),
@@ -212,8 +216,7 @@ def test_non_utf8_config_exits_1(tmp_path, capsys):
 
 
 # Config fuzz: every committed config with each key deleted and each leaf set
-# to each of these values, then with two such mutations at once.  count is not
-# set to the large integers: a huge count is a valid request for huge work.
+# to each of these values, then with two such mutations at once.
 FUZZ_VALUES = [None, "x", [], {}, True, -1, 0, NAN, INF, -INF, 1e300, 2 ** 70, 2000]
 FUZZ_SECONDS = 10  # per run; the slowest single mutation takes under 1 s
 
@@ -227,8 +230,7 @@ def _mutations(node, at=()):
         if isinstance(value, (dict, list)):
             yield from _mutations(value, path)
         else:
-            yield from ((path, v) for v in FUZZ_VALUES
-                        if not (key == "count" and v in (2 ** 70, 2000)))
+            yield from ((path, v) for v in FUZZ_VALUES)
 
 
 def _mutated(data, *mutations):

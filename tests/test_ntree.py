@@ -9,13 +9,92 @@ import numpy as np
 
 from orgtree import ntree
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box
-from orgtree.ntree import Body, build_tree, flatten, radius_hits
+from orgtree.ntree import Body, build_tree, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
-from oracles import collect_bodies, linear_radius, rational_aggregates
+from oracles import (aggregates, build_reference, collect_bodies, dump_leaves,
+                     flatten_reference, linear_radius, rational_aggregates)
 
 
 def b(i, x, y, charge=1.0, species=0):
     return Body(i, species, Vec2(float(x), float(y)), Vec2(0.0, 0.0), charge)
+
+
+# lo + (hi - lo) != hi on both axes, so cell_box of the root is not the root box.
+ODD_BOX = AABB(Vec2(-8.3, -0.7), Vec2(24.1, 0.1))
+
+
+def scene(seed: int, n: int, box: AABB) -> list[Body]:
+    """Bodies anywhere, on split lines, on the upper edges and in one pile.
+
+    Charges are +-1, +-0.5 and 2.5, so subtrees often cancel exactly.
+    """
+    rng = random.Random(seed)
+    pile = (box.lo.x + rng.random() * box.width, box.lo.y + rng.random() * box.height)
+    bodies = []
+    for i in range(n):
+        x = box.lo.x + rng.random() * box.width
+        y = box.lo.y + rng.random() * box.height
+        kind = rng.randrange(4)
+        if kind == 1:  # on the split lines of a cell at depth 1 .. 6
+            split = cell_box(box, CellCoord(rng.randint(1, 6), 1, 1)).lo
+            x, y = rng.choice([(split.x, y), (x, split.y), (split.x, split.y)])
+        elif kind == 2:
+            x, y = rng.choice([(box.hi.x, y), (x, box.hi.y), (box.hi.x, box.hi.y)])
+        elif kind == 3:
+            x, y = pile
+        bodies.append(Body(i * 7 + rng.randrange(7), 0, Vec2(x, y), Vec2(0.0, 0.0),
+                           rng.choice([1.0, -1.0, 0.5, -0.5, 2.5])))
+    rng.shuffle(bodies)
+    return bodies
+
+
+def same_floats(a, b) -> bool:
+    """Bit for bit, with NaN compared as NaN."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def hexes(v: Vec2 | None):
+    return None if v is None else (v.x.hex(), v.y.hex())
+
+
+def assert_same_node(got, want):
+    """The view node equals the reference node field by field, floats bit for bit."""
+    assert got.coord == want.coord
+    assert got.bodies == want.bodies
+    (count, charge, com), (k, q, c) = aggregates(got), aggregates(want)
+    assert (count, charge.hex(), hexes(com)) == (k, q.hex(), hexes(c))
+    floats = ("lo_x", "lo_y", "hi_x", "hi_y")
+    assert [getattr(got, k).hex() for k in floats] == [getattr(want, k).hex() for k in floats]
+    assert (got.box.lo, got.box.hi) == (want.box.lo, want.box.hi)
+    assert (got.children is None) == (want.children is None)
+    for g, w in zip(got.children or (), want.children or ()):
+        assert_same_node(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0, 1, 2, 9, 60, 250]),
+       st.sampled_from([1, 3, 10]), st.sampled_from([0, 1, 24, 53]),
+       st.sampled_from([UNIT_BOX, BOX_100, ODD_BOX]))
+def test_build_equals_the_recursive_reference(seed, n, capacity, max_depth, box):
+    bodies = scene(seed, n, box)
+    tree = build_tree(bodies, box, capacity, max_depth)
+    root = build_reference(bodies, box, capacity, max_depth)
+    want = flatten_reference(root, bodies)
+    for key in ("box", "cx", "cy", "charge"):
+        assert same_floats(getattr(tree, key), want[key]), key
+    for key in ("first", "count", "coords", "id"):
+        assert np.array_equal(getattr(tree, key), want[key]), key
+    assert [tree.bodies[i] for i in tree.order.tolist()] == want["bodies"]
+    assert_same_node(tree.root, root)
+
+
+def test_only_the_root_row_keeps_an_odd_root_box():
+    tree = build_tree(scene(5, 40, ODD_BOX), ODD_BOX, 1)
+    assert cell_box(ODD_BOX, CellCoord(0, 0, 0)).hi != ODD_BOX.hi
+    assert tuple(tree.box[:4, 0]) == (ODD_BOX.lo.x, ODD_BOX.lo.y, ODD_BOX.hi.x, ODD_BOX.hi.y)
+    for (depth, ix, iy), row in zip(tree.coords.T.tolist()[1:], tree.box[:4, 1:].T.tolist()):
+        c = cell_box(ODD_BOX, CellCoord(depth, ix, iy))
+        assert row == [c.lo.x, c.lo.y, c.hi.x, c.hi.y]
 
 
 class TestBuildValidation:
@@ -27,6 +106,10 @@ class TestBuildValidation:
         with pytest.raises(ValueError, match="outside the root box"):
             build_tree([b(0, 100.5, 10)], BOX_100, 4)
 
+    def test_max_depth_above_53_rejected(self):
+        with pytest.raises(ValueError, match="max_depth must be at most 53, got 54"):
+            build_tree([b(0, 10, 10)], BOX_100, 4, max_depth=54)
+
     def test_capacity_zero_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             build_tree([b(0, 10, 10)], BOX_100, 0)
@@ -36,6 +119,7 @@ class TestBuildValidation:
         assert tree.root.is_leaf
         assert tree.root.count == 0
         assert tree.root.center_of_charge is None
+        assert tree.query_radius(Vec2(50.0, 50.0), 1000.0) == []
 
     def test_body_on_upper_boundary_is_kept(self):
         tree = build_tree([b(0, 100, 100)], BOX_100, 1)
@@ -46,14 +130,14 @@ class TestSplitting:
     def test_exactly_capacity_stays_leaf(self):
         tree = build_tree([b(0, 10, 10), b(1, 20, 15), b(2, 15, 80)], BOX_100, 3)
         assert tree.root.is_leaf
-        assert tree.dump_leaves() == "0 0 0 3"
+        assert dump_leaves(tree) == "0 0 0 3"
 
     def test_capacity_plus_one_splits_into_four(self):
         tree = build_tree([b(0, 10, 10), b(1, 20, 15), b(2, 15, 80), b(3, 80, 85)],
                           BOX_100, 3)
         assert not tree.root.is_leaf
         assert len(tree.root.children) == 4
-        assert tree.dump_leaves() == "\n".join(
+        assert dump_leaves(tree) == "\n".join(
             ["1 0 0 2", "1 0 1 1", "1 1 0 0", "1 1 1 1"])
 
     def test_empty_children_are_materialized_leaves(self):
@@ -240,20 +324,19 @@ def test_radius_hits_equal_query_radius_bodies_in_order(seed, capacity, sizes):
     centers += [Vec2(rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 1.5)) for _ in range(20)]
     radii = [rng.choice([0.0, 0.01, 0.1, 0.3, 2.0]) for _ in centers]
     x, y, r = (np.array(v) for v in ([c.x for c in centers], [c.y for c in centers], radii))
-    flat = flatten(tree)
     got = [[] for _ in centers]
     ends = [0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ntree, "_BLOCK_PAIRS", sizes[0])
         mp.setattr(ntree, "_CHUNK_TERMS", sizes[1])
-        for a, b_, t, body, d2 in radius_hits(flat, x, y, r):
+        for a, b_, t, body, d2 in radius_hits(tree, x, y, r):
             assert a == ends[-1] and all(a <= k < b_ for k in t.tolist())
             ends.append(b_)
             for k, i, d in zip(t.tolist(), body.tolist(), d2.tolist()):
-                p = flat.bodies[i].position
+                p = tree.bodies[tree.order[i]].position
                 dx, dy = p.x - x[k], p.y - y[k]
                 assert d == dx * dx + dy * dy
-                got[k].append(flat.bodies[i].id)
+                got[k].append(tree.bodies[tree.order[i]].id)
     assert ends[-1] == len(centers)
     assert got == [tree.query_radius(c, rad) for c, rad in zip(centers, radii)]
 
@@ -265,14 +348,14 @@ class TestDeterminism:
         shuffled = list(bodies)
         random.Random(99).shuffle(shuffled)
         tree_b = build_tree(shuffled, UNIT_BOX, 3)
-        assert tree_a.dump_leaves() == tree_b.dump_leaves()
+        assert dump_leaves(tree_a) == dump_leaves(tree_b)
         cells_a = {c: frozenset(ids) for c, ids in tree_a.leaf_cells().items()}
         cells_b = {c: frozenset(ids) for c, ids in tree_b.leaf_cells().items()}
         assert cells_a == cells_b
 
     def test_dump_format(self):
         tree = build_tree([b(0, 10, 10), b(1, 60, 70)], BOX_100, 1)
-        lines = tree.dump_leaves().splitlines()
+        lines = dump_leaves(tree).splitlines()
         assert lines == sorted(lines, key=lambda s: [int(t) for t in s.split()])
         for line in lines:
             parts = line.split()
@@ -286,7 +369,7 @@ class TestDeterminism:
         bodies = uniform_bodies(n, seed=seed)
         t1 = build_tree(bodies, UNIT_BOX, 3)
         t2 = build_tree(bodies, UNIT_BOX, 3)
-        assert t1.dump_leaves() == t2.dump_leaves()
+        assert dump_leaves(t1) == dump_leaves(t2)
 
 
 class TestLeafBoxGeometry:

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from conftest import CONFIG_DIR
+from orgtree import run
 from orgtree.cli import main
 from orgtree.config import config_from_dict, load_config, override
 from orgtree.detect import CellSet, group_cells2, organizations_from
@@ -182,6 +184,18 @@ class TestOfflineDetection:
         recorded = read_trace(path).frame_at(6)["organizations"]
         result = detect_offline(path, step=6, depth=cfg.detection.depth)
         assert result["organizations"] == recorded
+
+    def test_rebuilt_tree_keeps_the_species_charges(self, tmp_path):
+        species = [{**SMALL_CONFIG["species"][0], "charge": 2.5},
+                   {**SMALL_CONFIG["species"][1], "charge": -1.0}]
+        cfg = config_from_dict({**SMALL_CONFIG, "species": species})
+        path = run_simulation(cfg, tmp_path, steps=3)
+        _, frame, tree = run._recorded_tree(path, 3)
+        charge = {0: 2.5, 1: -1.0}
+        assert tree.root.total_charge == math.fsum(charge[b["species"]] for b in frame["bodies"])
+        assert sorted(b.charge for b in tree.bodies) == [-1.0] * 15 + [2.5] * 15
+        result = detect_offline(path, step=3, depth=cfg.detection.depth)
+        assert result["organizations"] == frame["organizations"]
 
     def test_missing_step_is_a_config_error(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)
@@ -438,12 +452,37 @@ def test_committed_config_traces_are_pinned(tmp_path, name):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACES[name]
 
 
+# sha256 of the SVG frames `simulate --steps 20 --svg-every 10` writes.  The
+# leaf order and the leaf box floats of the tree feed these bytes.
+GOLDEN_SVGS = {
+    "three_species": ("5b378d1aa7038cd89af85e0df259d41d947c7e9710d2c4923a7a5b86fdca1d18",
+                      "36840ac4dd117848baf0c946cc9a4a51622b3a4beff09ffdfab07f29c08a037b",
+                      "9c9bed0a0ee732ac5050b8477618e2cc17d3f60cd9466019c15419f5e0b2413b"),
+    "two_flocks": ("c92346225b7db430c2ba0846930a1799e28232a600328f532d94cd523b25902a",
+                   "6782bd80b6614de03d3f8356913f8c87de25eb8d66aaf431d209fa5d4623512c",
+                   "4dbe61002e50bf6cbf0f170a65e1e896bae6df26c93704c6765e236b93466d93"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SVGS))
+def test_committed_config_svg_frames_are_pinned(tmp_path, name):
+    code = main(["simulate", "--config", str(CONFIG_DIR / f"{name}.json"), "--steps", "20",
+                 "--svg-every", "10", "--out", str(tmp_path)])
+    assert code == 0
+    frames = sorted(tmp_path.glob("frame_*.svg"))
+    assert [p.name for p in frames] == ["frame_000000.svg", "frame_000010.svg",
+                                        "frame_000020.svg"]
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in frames) == GOLDEN_SVGS[name]
+
+
 @pytest.mark.parametrize("fault, expected", [
     ("no bodies", "step 2: malformed frame: KeyError('bodies')"),
     ("x is abc", "step 2: malformed frame: ValueError(\"could not convert string to float: 'abc'\")"),
     ("header is 5", "first line is not a trace header"),
     ("body outside the box", "step 2: malformed frame: ValueError('body 16 at (500.0, "),
     ("duplicate id", "step 2: malformed frame: ValueError('duplicate body id: 0')"),
+    ("species not in the header", "step 2: malformed frame: KeyError(9)"),
+    ("id is 2**70", "step 2: malformed frame: OverflowError("),
     ("frame is 5", ":3: frame line is not an object"),
     ("huge integer", ":3: malformed trace line: Exceeds the limit (4300 digits)"),
     ("not utf-8", ":4: malformed trace line: 'utf-8' codec can't decode byte 0xff"),
@@ -462,6 +501,10 @@ def test_malformed_trace_exits_1_naming_trace_and_step(tmp_path, capsys, command
         frame["bodies"][16]["x"] = 500.0
     elif fault == "duplicate id":
         frame["bodies"][1]["id"] = 0
+    elif fault == "species not in the header":
+        frame["bodies"][4]["species"] = 9
+    elif fault == "id is 2**70":
+        frame["bodies"][4]["id"] = 2 ** 70
     lines[3] = json.dumps(frame)
     if fault == "header is 5":
         lines[0] = "5"
