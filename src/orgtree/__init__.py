@@ -10,10 +10,8 @@ from .config import Config, load_config
 from .detect import (CellSet, Organization, group_cells, group_cells2,
                      organizations_from)
 from .errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceError
-from .geometry import (AABB, CellCoord, Vec2, boxes_overlap_or_touch, cell_box,
-                       cells_adjacent, cells_touch, child_coords)
-from .kernels import (KernelParams, direct_field, direct_fields, pair_field,
-                      tree_field, tree_fields)
+from .geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
+from .kernels import KernelParams, direct_field, direct_fields, tree_field, tree_fields
 from .metrics import WeightedGraph, interaction_graph, modularity, organization_partition
 from .ntree import Body, NTree, Node, build_tree
 from .run import detect_organizations, field_run, place_bodies, run_simulation

@@ -151,10 +151,11 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
     """Materialize organizations from cell groups.
 
     Members are the union of the body ids in each group's leaves, sorted and
-    duplicate-free.  The centroid is the unweighted mean of member positions
-    and the bounding box covers member positions, not cell extents.  Ids are
-    assigned by descending member count, ties broken by the smallest cell
-    coordinate, so output order is deterministic.
+    duplicate-free; a group with no members is dropped.  The centroid is the
+    unweighted mean of member positions and the bounding box covers member
+    positions, not cell extents.  Ids are assigned by descending member
+    count, ties broken by the smallest cell coordinate, so output order is
+    deterministic.
     """
     n = len(tree.first) - 1
     first, count, ids = tree.first.tolist(), tree.count.tolist(), tree.id.tolist()
@@ -163,8 +164,6 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
     protos = []
     for raw in groups:
         cell_group = frozenset(raw)
-        if not cell_group:
-            continue
         rows: list[int] = []
         for c in sorted(cell_group):
             k = row.get((c.depth, c.ix, c.iy))
@@ -174,6 +173,8 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
             elif k is not None or parent is None or first[parent] >= n:
                 # not an empty leaf either, the rowless child of an internal row
                 raise ValueError(f"cell ({c.depth}, {c.ix}, {c.iy}) is not a leaf of the tree")
+        if not rows:  # no cells, or only empty leaves
+            continue
         rows.sort(key=ids.__getitem__)  # by member id
         members = tuple(ids[k] for k in rows)
         xs, ys = [px[k] for k in rows], [py[k] for k in rows]

@@ -72,12 +72,6 @@ class AABB:
         return self.lo.x <= p.x <= self.hi.x and self.lo.y <= p.y <= self.hi.y
 
 
-def boxes_overlap_or_touch(a: AABB, b: AABB) -> bool:
-    """Closed-box intersection: shared edges and shared corners count as contact."""
-    return (a.lo.x <= b.hi.x and b.lo.x <= a.hi.x
-            and a.lo.y <= b.hi.y and b.lo.y <= a.hi.y)
-
-
 @dataclass(frozen=True, slots=True, order=True)
 class CellCoord:
     """Identity of a quadtree cell: subdivision depth plus column/row index.
@@ -143,15 +137,3 @@ def cells_touch(a: CellCoord, b: CellCoord) -> bool:
     alo = a.iy << sa
     blo = b.iy << sb
     return alo <= ((b.iy + 1) << sb) and blo <= ((a.iy + 1) << sa)
-
-
-def cells_adjacent(a: CellCoord, b: CellCoord) -> bool:
-    """True when two distinct cells share an edge or a corner point.
-
-    Intended for non-nested cells, such as two leaves of the same tree.
-    Raises ValueError when called with a cell and itself; a cell is not its
-    own neighbor.
-    """
-    if a == b:
-        raise ValueError(f"adjacency is defined between distinct cells, got {a} twice")
-    return cells_touch(a, b)

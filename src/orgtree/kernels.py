@@ -63,24 +63,6 @@ class KernelParams:
             raise ValueError("kernel constant, theta and softening must be finite")
 
 
-def pair_field(source: Body, target: Vec2, params: KernelParams,
-               target_id: int | None = None) -> Vec2:
-    """Field contribution of one source body at a target point."""
-    dx = source.position.x - target.x
-    dy = source.position.y - target.y
-    r2 = dx * dx + dy * dy
-    eps2 = params.softening * params.softening
-    r3 = (r2 + eps2) * math.sqrt(r2 + eps2)
-    if r3 == 0.0:  # coincident, or so close that r^3 underflows
-        raise SingularPairError(
-            f"source body {source.id} coincides with the target and softening is 0"
-            if r2 + eps2 == 0.0 else f"source body {source.id} is too close to the "
-            f"target: r^3 underflows to 0 at softening {params.softening}",
-            pair=(source.id, target_id if target_id is not None else -1))
-    w = params.constant * source.charge / r3
-    return Vec2(w * dx, w * dy)
-
-
 def direct_field(bodies, target_index: int, params: KernelParams) -> Vec2:
     """Exact field at bodies[target_index] summed over every other body."""
     bodies = list(bodies)

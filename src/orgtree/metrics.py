@@ -5,12 +5,18 @@ distance.  Modularity rewards partitions whose intra-group weight beats the
 degree-based expectation, so weights must mean similarity, not distance.
 Raw distances invert that meaning and reward spread-out groups; the raw
 transform is kept for experiments but the inverse transform is the default.
+
+A graph from `interaction_graph` holds only the N x 2 positions.  Weight rows
+are filled _BLOCK_ROWS at a time, and `modularity` reduces each block to
+per-group row sums and discards it, so memory is O(N * _BLOCK_ROWS).  The
+dense N x N matrix is built only when a caller reads `.weights`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import math
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,25 +26,70 @@ TRANSFORM_RAW = "raw"
 TRANSFORMS = (TRANSFORM_INVERSE, TRANSFORM_GAUSSIAN, TRANSFORM_RAW)
 
 INVERSE_EPSILON = 1e-9
-_BLOCK_ROWS = 64  # weight-matrix rows filled per block
+_BLOCK_ROWS = 64  # weight rows filled per block
 
 
-@dataclass(frozen=True)
 class WeightedGraph:
-    """Complete undirected graph as a dense symmetric matrix, zero diagonal."""
+    """Complete undirected graph with zero diagonal.
 
-    n: int
-    weights: np.ndarray
+    `WeightedGraph(n, weights)` wraps a dense symmetric matrix.  A graph made
+    by `interaction_graph` keeps the positions, transform and sigma instead
+    and computes weight rows on demand.
+    """
 
-    def __post_init__(self) -> None:
-        if self.weights.shape != (self.n, self.n):
-            raise ValueError(
-                f"weight matrix shape {self.weights.shape} does not match n={self.n}")
+    def __init__(self, n: int, weights: np.ndarray | None = None, *,
+                 positions: np.ndarray | None = None,
+                 transform: str = TRANSFORM_INVERSE, sigma: float = 1.0) -> None:
+        self.n = n
+        if positions is not None:
+            self.positions, self.transform, self.sigma = positions, transform, sigma
+        elif weights.shape != (n, n):
+            raise ValueError(f"weight matrix shape {weights.shape} does not match n={n}")
+        else:
+            self.weights = weights
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The dense matrix, built from `_row_blocks` on first use."""
+        w = np.empty((self.n, self.n))
+        for lo, rows in self._row_blocks(np.arange(self.n)):
+            w[lo:lo + len(rows)] = rows
+        return w
+
+    def _row_blocks(self, order: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+        """(first row, rows) per block of _BLOCK_ROWS weight rows, columns in `order`.
+
+        Blocks are copied from the dense matrix when the graph holds one, and
+        otherwise computed into a buffer that the next block overwrites.
+        """
+        n, dense = self.n, vars(self).get("weights")
+        if dense is not None:
+            for lo in range(0, n, _BLOCK_ROWS):
+                yield lo, dense[lo:lo + _BLOCK_ROWS][:, order]
+            return
+        buf = np.empty((2, min(n, _BLOCK_ROWS), n))
+        pos, cols, diag = self.positions, self.positions[order], np.argsort(order)
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            # dx*dx + dy*dy is bit for bit the sum over the last axis of an
+            # N x N x 2 difference tensor, never built.
+            rows = np.subtract(pos[lo:hi, None, 0], cols[:, 0], out=buf[0, :hi - lo])
+            rows *= rows
+            dy = np.subtract(pos[lo:hi, None, 1], cols[:, 1], out=buf[1, :hi - lo])
+            dy *= dy
+            rows += dy
+            np.sqrt(rows, out=rows)
+            if self.transform == TRANSFORM_INVERSE:
+                np.divide(1.0, rows + INVERSE_EPSILON, out=rows)
+            elif self.transform == TRANSFORM_GAUSSIAN:
+                np.exp(-(rows * rows) / (2.0 * self.sigma * self.sigma), out=rows)
+            rows[np.arange(hi - lo), diag[lo:hi]] = 0.0
+            yield lo, rows
 
 
 def interaction_graph(bodies, transform: str = TRANSFORM_INVERSE, *,
                       sigma: float = 1.0) -> WeightedGraph:
-    """Pairwise weight matrix from body positions.
+    """Interaction graph of body positions; weights are computed on demand.
 
     Transforms: inverse gives 1 / (d + 1e-9), gaussian gives
     exp(-d^2 / (2 sigma^2)), raw keeps the distance itself.
@@ -50,26 +101,8 @@ def interaction_graph(bodies, transform: str = TRANSFORM_INVERSE, *,
         raise ValueError(f"unknown transform: {transform!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    n = len(bodies)
     pos = np.array([[b.position.x, b.position.y] for b in bodies], dtype=float)
-    w = np.empty((n, n))
-    scratch = np.empty((min(n, _BLOCK_ROWS), n))
-    # Rows are filled in cache-sized blocks.  dx*dx + dy*dy is bit for bit the
-    # sum over the last axis of an N x N x 2 difference tensor, never built.
-    for lo in range(0, n, _BLOCK_ROWS):
-        rows = w[lo:lo + _BLOCK_ROWS]
-        np.subtract(pos[lo:lo + _BLOCK_ROWS, None, 0], pos[:, 0], out=rows)
-        rows *= rows
-        dy = np.subtract(pos[lo:lo + _BLOCK_ROWS, None, 1], pos[:, 1], out=scratch[:len(rows)])
-        dy *= dy
-        rows += dy
-        np.sqrt(rows, out=rows)
-        if transform == TRANSFORM_INVERSE:
-            np.divide(1.0, rows + INVERSE_EPSILON, out=rows)
-        elif transform == TRANSFORM_GAUSSIAN:
-            np.exp(-(rows * rows) / (2.0 * sigma * sigma), out=rows)
-    np.fill_diagonal(w, 0.0)
-    return WeightedGraph(n, w)
+    return WeightedGraph(len(bodies), positions=pos, transform=transform, sigma=sigma)
 
 
 def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> float:
@@ -80,13 +113,14 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
     under uniform scaling of all weights.  Raises on an empty graph (W = 0)
     and on a partition that is not a disjoint cover of all nodes.
 
-    Group sums are taken straight over matrix rows rather than via cached
-    degrees, so a single group covering every node reproduces the total
-    weight bit for bit and scores exactly 0.0.
+    One pass over the weight row blocks: the columns of a block are sorted
+    by group, and one reduceat gives every row's per-group sums.  Each row
+    keeps its total and its own-group sum, and W and the group sums are
+    math.fsum over those.  A single group covering every node therefore has
+    intra = incident = W bit for bit and scores exactly 0.0.
     """
     groups = [np.fromiter((int(i) for i in g), dtype=int) for g in partition]
     seen: set[int] = set()
-    total = 0
     for g in groups:
         for i in g.tolist():
             if i < 0 or i >= graph.n:
@@ -94,20 +128,27 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
             if i in seen:
                 raise ValueError(f"node {i} appears in more than one group")
             seen.add(i)
-        total += len(g)
-    if total != graph.n:
-        raise ValueError(f"partition covers {total} of {graph.n} nodes")
+    if len(seen) != graph.n:
+        raise ValueError(f"partition covers {len(seen)} of {graph.n} nodes")
 
-    a = graph.weights
-    two_w = float(a.sum())
+    groups = [g for g in groups if len(g)]
+    label = np.empty(graph.n, dtype=np.intp)  # each node's group, its column in a block's sums
+    for k, g in enumerate(groups):
+        label[g] = k
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    degree, own = np.empty(graph.n), np.empty(graph.n)
+    for lo, rows in graph._row_blocks(order):
+        sums = np.add.reduceat(rows, starts, axis=1)
+        degree[lo:lo + len(rows)] = sums.sum(axis=1)
+        own[lo:lo + len(rows)] = sums[np.arange(len(sums)), label[lo:lo + len(rows)]]
+    two_w = math.fsum(degree)
     if two_w == 0.0:
         raise ValueError("graph has zero total weight; modularity is undefined")
     q = 0.0
     for g in groups:
-        if len(g) == 0:
-            continue
-        intra = float(a[np.ix_(g, g)].sum()) / two_w
-        incident = float(a[g].sum()) / two_w
+        intra = math.fsum(own[g]) / two_w
+        incident = math.fsum(degree[g]) / two_w
         q += intra - incident * incident
     return q
 
@@ -120,10 +161,6 @@ def organization_partition(organizations, n_bodies: int) -> list[list[int]]:
     tree.
     """
     groups = [list(org.members) for org in organizations]
-    covered = set()
-    for g in groups:
-        covered.update(g)
+    covered = {i for g in groups for i in g}
     rest = [i for i in range(n_bodies) if i not in covered]
-    if rest:
-        groups.append(rest)
-    return groups
+    return groups + [rest] if rest else groups

@@ -2,10 +2,11 @@
 
 Everything in this module is deliberately naive and, where possible, exact:
 rational box arithmetic instead of floats, union-find over all-pairs contact
-instead of tree traversal, linear scans instead of pruned queries, one boid
-and one neighbour at a time instead of numpy batches.  None of it imports the
-grouping, field, or steering code under test beyond the plain data types, the
-integer cell-contact test and the scalar tree walker.
+instead of tree traversal, linear scans instead of pruned queries, one boid and
+one neighbour at a time instead of numpy batches, and a dense weight matrix
+instead of row blocks.  None of it imports the grouping, field, or steering
+code under test beyond the plain data types, the integer cell-contact test
+and the scalar tree walker.
 """
 
 from __future__ import annotations
@@ -21,9 +22,28 @@ from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
 from orgtree.detect import CellSet
 from orgtree.errors import SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
+from orgtree.kernels import KernelParams
 from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
                              TRANSFORM_INVERSE)
 from orgtree.ntree import Body, Node, build_tree
+
+
+def boxes_overlap_or_touch(a: AABB, b: AABB) -> bool:
+    """Closed-box intersection: shared edges and shared corners count as contact."""
+    return (a.lo.x <= b.hi.x and b.lo.x <= a.hi.x
+            and a.lo.y <= b.hi.y and b.lo.y <= a.hi.y)
+
+
+def cells_adjacent(a: CellCoord, b: CellCoord) -> bool:
+    """True when two distinct cells share an edge or a corner point.
+
+    Intended for non-nested cells, such as two leaves of the same tree.
+    Raises ValueError when called with a cell and itself; a cell is not its
+    own neighbor.
+    """
+    if a == b:
+        raise ValueError(f"adjacency is defined between distinct cells, got {a} twice")
+    return cells_touch(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -173,6 +193,25 @@ def modularity_literal(weights, partition) -> float:
     return q / two_m
 
 
+def modularity_reference(weights: np.ndarray, partition) -> float:
+    """Newman weighted modularity straight from a dense weight matrix.
+
+    The reference for the blockwise metrics.modularity: each group's intra
+    and incident weights are numpy sums over copies of its submatrix and its
+    rows.  The partition is assumed to be a disjoint cover.
+    """
+    two_w = float(weights.sum())
+    q = 0.0
+    for g in partition:
+        g = np.fromiter((int(i) for i in g), dtype=int)
+        if len(g) == 0:
+            continue
+        intra = float(weights[np.ix_(g, g)].sum()) / two_w
+        incident = float(weights[g].sum()) / two_w
+        q += intra - incident * incident
+    return q
+
+
 def interaction_weights_reference(bodies, transform: str = TRANSFORM_INVERSE,
                                   sigma: float = 1.0) -> np.ndarray:
     """Interaction weights through the full N x N x 2 difference tensor.
@@ -312,6 +351,24 @@ def collect_bodies(node) -> list[Body]:
     for child in node.children:
         out.extend(collect_bodies(child))
     return out
+
+
+def pair_field(source: Body, target: Vec2, params: KernelParams,
+               target_id: int | None = None) -> Vec2:
+    """Field contribution of one source body at a target point."""
+    dx = source.position.x - target.x
+    dy = source.position.y - target.y
+    r2 = dx * dx + dy * dy
+    eps2 = params.softening * params.softening
+    r3 = (r2 + eps2) * math.sqrt(r2 + eps2)
+    if r3 == 0.0:  # coincident, or so close that r^3 underflows
+        raise SingularPairError(
+            f"source body {source.id} coincides with the target and softening is 0"
+            if r2 + eps2 == 0.0 else f"source body {source.id} is too close to the "
+            f"target: r^3 underflows to 0 at softening {params.softening}",
+            pair=(source.id, target_id if target_id is not None else -1))
+    w = params.constant * source.charge / r3
+    return Vec2(w * dx, w * dy)
 
 
 def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:

@@ -55,7 +55,9 @@ def test_traced_detection_and_graph_reach_their_spans_and_are_restored():
             "detect.organizations_from", "metrics.interaction_graph",
             "metrics.organization_partition", "metrics.modularity"} <= names
     assert tracer.counts[0]["detect.groups"] >= 1
-    assert tracer.counts[0]["metrics.graph_bytes_computed"] == len(bodies) ** 2 * 8
+    # The graph holds the N x 2 positions; modularity never built the matrix.
+    assert tracer.counts[0]["metrics.graph_bytes_computed"] == len(bodies) * 2 * 8
+    assert "weights" not in vars(graph)
     assert {(id(o), a): vars(o)[a] for o, a, _, _ in tracing.CALL_SITES} == before
 
 

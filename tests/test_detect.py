@@ -192,6 +192,16 @@ class TestOrganizationsFrom:
         tree, _ = self.two_cluster_tree()
         assert organizations_from([[]], tree) == []
 
+    def test_group_of_empty_leaves_is_dropped(self):
+        # Both bodies sit in the lower-left quadrant, so (1, 1, 1) is an empty leaf.
+        bodies = [Body(0, 0, Vec2(0.1, 0.1), Vec2(0.0, 0.0)),
+                  Body(1, 0, Vec2(0.2, 0.2), Vec2(0.0, 0.0))]
+        tree = build_tree(bodies, UNIT_BOX, 1)
+        assert tree.leaf_at(CellCoord(1, 1, 1)).count == 0
+        assert organizations_from([[CellCoord(1, 1, 1)]], tree) == []
+        orgs = organizations_from([[CellCoord(1, 1, 1)], tree.leaf_cells()], tree)
+        assert [o.members for o in orgs] == [(0, 1)]
+
 
 class TestEndToEndPartition:
     def test_groups_partition_the_cut(self):

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orgtree.geometry import (AABB, CellCoord, Vec2, boxes_overlap_or_touch,
-                              cell_box, cells_adjacent, cells_touch,
-                              child_coords)
-from oracles import bisect_cell_box, rational_cells_touch
+from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
+from oracles import (bisect_cell_box, boxes_overlap_or_touch, cells_adjacent,
+                     rational_cells_touch)
 
 
 def coords(max_depth=8):

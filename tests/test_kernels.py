@@ -9,11 +9,10 @@ from orgtree import kernels
 from orgtree.errors import SingularPairError
 from orgtree.geometry import Vec2
 from orgtree.kernels import (MODE_COULOMB, MODE_GRAVITY, KernelParams,
-                             direct_field, direct_fields, pair_field,
-                             tree_field, tree_fields)
+                             direct_field, direct_fields, tree_field, tree_fields)
 from orgtree.ntree import Body, build_tree
 from conftest import UNIT_BOX, uniform_bodies, uniform_tree
-from oracles import tree_field_walk
+from oracles import pair_field, tree_field_walk
 
 
 def b(i, x, y, charge=1.0):

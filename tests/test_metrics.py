@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_RAW, WeightedGraph,
                              organization_partition)
 from orgtree.ntree import Body, build_tree
 from conftest import BOX_100, clustered_bodies, uniform_bodies
-from oracles import interaction_weights_reference, modularity_literal
+from oracles import (interaction_weights_reference, modularity_literal,
+                     modularity_reference)
 
 
 def graph_from(weights):
@@ -149,6 +151,91 @@ class TestModularity:
         g = graph_from([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             modularity(g, [[0, 1], [1]])
+
+
+def detected_partition(bodies, capacity, depth, seed=0):
+    tree = build_tree(bodies, BOX_100, capacity)
+    orgs = organizations_from(group_cells2(CellSet.from_tree(tree, depth), tree, seed=seed), tree)
+    return organization_partition(orgs, len(bodies))
+
+
+def shuffled_like(partition, seed):
+    ids = [i for g in partition for i in g]
+    random.Random(seed).shuffle(ids)
+    out, at = [], 0
+    for g in partition:
+        out.append(ids[at:at + len(g)])
+        at += len(g)
+    return out
+
+
+def both_graphs(bodies, transform="inverse", sigma=1.0):
+    """The position-backed graph, and the reference weights as a dense graph."""
+    dense = interaction_weights_reference(bodies, transform, sigma)
+    return interaction_graph(bodies, transform, sigma=sigma), WeightedGraph(len(bodies), dense)
+
+
+class TestBlockwiseModularity:
+    """The row-block reduction against the dense-matrix reference."""
+
+    @staticmethod
+    def assert_matches_reference(bodies, partitions, transform="inverse", sigma=1.0):
+        graphs = both_graphs(bodies, transform, sigma)
+        for partition in partitions:
+            want = modularity_reference(graphs[1].weights, partition)
+            for graph in graphs:
+                assert abs(modularity(graph, partition) - want) <= 1e-12
+        assert "weights" not in vars(graphs[0])
+
+    def test_acceptance_two_blob_scenes(self):
+        for seed in range(20):
+            bodies = clustered_bodies([(30.0, 30.0), (70.0, 70.0)], 25, 5.0, seed=100 + seed)
+            detected = detected_partition(bodies, 3, 4, seed)
+            self.assert_matches_reference(
+                bodies, [detected, shuffled_like(detected, 900 + seed)])
+
+    @pytest.mark.parametrize("transform, sigma", TRANSFORM_CASES)
+    def test_three_blob_scene_of_2400_bodies(self, transform, sigma):
+        bodies = clustered_bodies([(30.0, 30.0), (70.0, 40.0), (45.0, 75.0)], 800, 7.0, seed=12)
+        detected = detected_partition(bodies, 10, 5)
+        labels = random.Random(7).choices(range(6), k=len(bodies))
+        random_groups = [[i for i, k in enumerate(labels) if k == g] for g in range(6)]
+        blobs = [range(0, 800), range(800, 1600), range(1600, 2400)]
+        assert len(detected) > 3
+        self.assert_matches_reference(
+            bodies, [detected, random_groups + [[]], blobs], transform, sigma)
+
+    @pytest.mark.parametrize("transform, sigma", TRANSFORM_CASES)
+    def test_all_covering_group_is_exactly_zero_off_the_block_grid(self, transform, sigma):
+        bodies = uniform_bodies(131, seed=8, box=BOX_100)  # two full blocks and 3 rows
+        for graph in both_graphs(bodies, transform, sigma):
+            assert modularity(graph, [range(131)]) == 0.0
+            assert modularity(graph, [[], list(reversed(range(131)))]) == 0.0
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        bodies = uniform_bodies(130, seed=6, box=BOX_100)
+        detected = detected_partition(bodies, 2, 4)
+        partitions = [detected, shuffled_like(detected, 3), [range(130)],
+                      [[i] for i in range(130)]]
+        cases = [(graph, p) for transform, sigma in TRANSFORM_CASES
+                 for graph in both_graphs(bodies, transform, sigma) for p in partitions]
+        want = [modularity(graph, p).hex() for graph, p in cases]
+        for rows in (1, 3, 64, 1000):
+            monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+            assert [modularity(graph, p).hex() for graph, p in cases] == want
+
+    def test_memory_stays_far_below_the_matrix(self):
+        n = 2000
+        bodies = uniform_bodies(n, seed=9, box=BOX_100)
+        partition = [range(0, n, 2), range(1, n, 2)]
+        tracemalloc.start()
+        try:
+            graph = interaction_graph(bodies)
+            modularity(graph, partition)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestOrganizationPartition:

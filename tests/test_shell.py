@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import CONFIG_DIR
+from oracles import interaction_weights_reference, modularity_reference
 from orgtree import run
 from orgtree.cli import main
 from orgtree.config import config_from_dict, load_config, override
@@ -15,7 +16,8 @@ from orgtree.ntree import build_tree
 from orgtree.run import (detect_offline, field_run, place_bodies,
                          render_offline, run_simulation)
 from orgtree.svg import render_svg
-from orgtree.trace import read_trace
+from orgtree.metrics import organization_partition
+from orgtree.trace import bodies_from_frame_dict, organization_from_dict, read_trace
 
 SMALL_CONFIG = {
     "seed": 9,
@@ -473,6 +475,20 @@ def test_committed_config_svg_frames_are_pinned(tmp_path, name):
     assert [p.name for p in frames] == ["frame_000000.svg", "frame_000010.svg",
                                         "frame_000020.svg"]
     assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in frames) == GOLDEN_SVGS[name]
+
+
+def test_simulate_metrics_frames_equal_the_matrix_modularity(tmp_path):
+    code = main(["simulate", "--config", str(CONFIG_DIR / "three_species.json"), "--steps", "5",
+                 "--metrics", "--out", str(tmp_path)])
+    assert code == 0
+    frames = read_trace(tmp_path / "trace.jsonl").frames
+    assert [f["step"] for f in frames] == [0, 1, 2, 3, 4, 5]
+    for frame in frames:
+        bodies = bodies_from_frame_dict(frame)
+        orgs = [organization_from_dict(o) for o in frame["organizations"]]
+        partition = organization_partition(orgs, len(bodies))
+        want = modularity_reference(interaction_weights_reference(bodies), partition)
+        assert abs(frame["modularity"] - want) <= 1e-12
 
 
 @pytest.mark.parametrize("fault, expected", [
