@@ -9,10 +9,11 @@ inverse-square law; gravity mode keeps the sign as written (the field points
 toward the source), coulomb mode is the same expression over signed charges.
 
 Both the direct sum and the tree-accelerated sum accumulate their per-source
-terms with exactly rounded summation (math.fsum).  The result is therefore
+terms exactly rounded: by math.fsum, or by a numpy sum certified against an
+error bound with math.fsum as its fallback.  The result is therefore
 independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
-result bit for bit.
+result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
 tree_fields runs block-batched: blocks of targets walk the tree's rows
 (ntree.NTree) as one level-synchronous numpy frontier.  Every target keeps
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPairError
+from .errors import DynamicsError, SingularPairError
 from .geometry import Vec2
 from .ntree import Body, NTree, _pow2
 
@@ -106,10 +107,64 @@ def _direct(bodies: list[Body], targets, params: KernelParams) -> list[Vec2]:
             w = const * qs[i] / r3
             xs.append(w * dx)
             ys.append(w * dy)
-        out.append(Vec2(math.fsum(xs), math.fsum(ys)))
+        out.append(_summed(xs, ys, ids[j], ids, j))  # xs skips ids[j]
     return out
 
 
+def _summed(xs, ys, target: int, sources: list, skip: int) -> Vec2:
+    """math.fsum of a target's terms.  A field that is not finite raises for its
+    first term k that is not, whose source (a body id or a cell's [depth, ix,
+    iy]) is sources[k], or sources[k + 1] from k = skip on; with every term
+    finite, the sum overflowed.
+    """
+    try:
+        f = Vec2(math.fsum(xs), math.fsum(ys))
+    except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+        f = Vec2(math.nan, math.nan)
+    if math.isfinite(f.x) and math.isfinite(f.y):
+        return f
+    k = next((k for k, v in enumerate(zip(xs, ys)) if not all(map(math.isfinite, v))), None)
+    if k is None:
+        raise DynamicsError(f"the field at target {target} overflows")
+    src = sources[k + (k >= skip)]
+    body = isinstance(src, int)
+    raise SingularPairError(f"the field term of {'body' if body else 'cell'} {src} at target "
+                            f"{target} is not finite: a pair too close or too large a constant"
+                            " or charge", pair=(src, target) if body else None)
+
+
+@np.errstate(all="ignore")  # non-finite sums go to math.fsum
+def _fsums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """math.fsum(v[owner == k]) for each k < m, bit for bit, with no sort.
+
+    Each term splits exactly into q + r (Rump, Ogita & Oishi 2008): q on the
+    grid 2^-53 sigma, sigma a power of two above twice the sum's |v| total,
+    so q sums exactly in any order, and r, whose sum errs by less than b.
+    The rounded total stands if its TwoSum error plus b is strictly below
+    half the gap to the next double toward zero (the nearer one); math.fsum
+    redoes the rest, zero totals and |v| totals outside [2^-900, 2^900].
+    """
+    n = np.bincount(owner, minlength=m)
+    s = np.abs(v)
+    a = np.bincount(owner, s, m)
+    np.take(np.ldexp(1.0, np.frexp(a)[1] + 1), owner, out=s)  # sigma per term
+    q = s + v
+    q -= s
+    r = np.subtract(v, q, out=s)
+    tau, c = np.bincount(owner, q, m), np.bincount(owner, r, m)
+    b = (2.0 * n + 4.0) * np.bincount(owner, np.abs(r, out=r), m) * 2.0 ** -53
+    res = np.add(tau, c, dtype=float)  # bincount gives ints when owner is empty
+    z = res - tau
+    err, mag = np.abs((tau - (res - z)) + (c - z)), np.abs(res)
+    good = (err + b < (mag - np.nextafter(mag, 0.0)) / 2) & (a >= 2.0 ** -900) & (a <= 2.0 ** 900)
+    if not good.all():
+        redo = np.flatnonzero(~good[owner])
+        redo = np.split(v[redo[np.argsort(owner[redo], kind="stable")]], np.cumsum(n[~good])[:-1])
+        res[~good] = [math.fsum(terms.tolist()) for terms in redo]
+    return res
+
+
+@np.errstate(all="ignore")  # a zero denominator gives a non-finite term, raised below
 def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
             params: KernelParams) -> list[Vec2]:
     """Fields at targets (tx, ty) with ids tid (-1 for none), in blocks sized
@@ -117,7 +172,9 @@ def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
 
     Each (target, row) pair decides and builds its term as its target's
     depth-first walk does, with the same operations in the same order; numpy
-    rounds them like Python and fuses none, and fsum ignores term order.
+    rounds them like Python and fuses none.  _fsums sums them exactly rounded,
+    certified against an error bound with math.fsum as the fallback, so their
+    order does not matter.
     """
     box, first, count = tree.box, tree.first, tree.count
     cx, cy, charge, ids = tree.cx, tree.cy, tree.charge, tree.id  # node rows have id -2
@@ -128,7 +185,7 @@ def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
         lo, hi = len(out), min(len(out) + size, len(tx))
         t = np.arange(lo, hi if len(ids) else lo)
         row = np.zeros(len(t), dtype=np.intp)
-        terms, singular = [(t[:0], np.zeros(0), np.zeros(0))], []
+        terms = [(t[:0], row[:0], np.zeros(0), np.zeros(0))]
         while len(t):
             x, y = tx[t], ty[t]
             lo_x, lo_y, hi_x, hi_y, side2 = box.take(row, axis=1, mode="clip")
@@ -139,30 +196,43 @@ def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
             # fails for d = 0 and for the NaN center of a cancelled node.
             far = ~inside & (side2 < th2 * d2)
             emit = far & (ids[row] != tid[t])
+            src = row[emit]
             r2 = d2[emit] + eps2
-            den = r2 * np.sqrt(r2)  # 0 when r2 is 0 or so small that r2^1.5 underflows
-            zero = den == 0.0
-            if zero.any():
-                singular.extend(zip(t[emit][zero].tolist(), row[emit][zero].tolist()))
-                den[zero] = 1.0  # any nonzero value: the block raises before summing
-            w = params.constant * charge[row[emit]] / den
-            terms.append((t[emit], w * dx[emit], w * dy[emit]))
+            w = params.constant * charge[src] / (r2 * np.sqrt(r2))
+            terms.append((t[emit], src, w * dx[emit], w * dy[emit]))
             row = row[~far]
             n = count[row]
             t = np.repeat(t[~far], n)
             row = np.arange(len(t)) + np.repeat(first[row] - np.cumsum(n) + n, n)
-        if singular:
-            k, i = min(singular)  # the lowest target, then its first body depth-first
-            raise SingularPairError(f"body {ids[i]} coincides with the target and softening "
-                                    "is 0", pair=(int(ids[i]), int(tid[k])))
-        owner, xs, ys = (np.concatenate(c) for c in zip(*terms))
-        order = np.argsort(owner, kind="stable")
-        xs, ys = memoryview(xs[order]), memoryview(ys[order])  # fsum reads floats
-        ends = np.cumsum(np.bincount(owner - lo, minlength=hi - lo)).tolist()
-        out.extend(Vec2(math.fsum(xs[a:b]), math.fsum(ys[a:b]))
-                   for a, b in zip([0] + ends, ends))
-        size = _pow2(_BLOCK_TERMS * size / max(len(xs), 1))  # few sizes, as in radius_hits
-        del owner, order, xs, ys  # free the block's sums before the next block's walk
+        ts, rows, xs, ys = zip(*terms)
+        owner, m = np.concatenate(ts) - lo, hi - lo
+        try:
+            f = _fsums(np.concatenate((owner, owner + m)), np.concatenate(xs + ys), 2 * m)
+        except (ValueError, OverflowError):
+            f = np.full(2 * m, np.nan)
+        if np.isfinite(f).all():
+            out.extend(map(Vec2, f[:m].tolist(), f[m:].tolist()))
+        else:  # as the walk does: raise for the lowest failing target, or sum depth-first
+            out.extend(_depth_first(tree, tid, lo, m, owner, *map(np.concatenate, (rows, xs, ys))))
+        size = _pow2(_BLOCK_TERMS * size / max(len(owner), 1))  # few sizes, as in radius_hits
+        del terms, ts, rows, xs, ys, owner, f  # free the block before the next block's walk
+    return out
+
+
+def _depth_first(tree: NTree, tid: np.ndarray, lo: int, m: int, owner: np.ndarray,
+                 row: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Vec2]:
+    """_summed for targets lo .. lo + m - 1 in turn, over their terms in
+    depth-first order, as the walk sums them.
+    """
+    key, nodes = row.copy(), len(tree.first) - 1
+    while (inner := key < nodes).any():
+        key[inner] = tree.first[key[inner]]  # a row's first body row: its place depth-first
+    out = []
+    for k in range(m):
+        e = np.flatnonzero(owner == k)
+        e = e[np.argsort(key[e])].tolist()
+        sources = [int(tree.id[r]) if r >= nodes else tree.coords[:, r].tolist() for r in row[e]]
+        out.append(_summed(xs[e].tolist(), ys[e].tolist(), int(tid[lo + k]), sources, len(e)))
     return out
 
 
@@ -182,5 +252,6 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     """Tree-accelerated field at every tree body, in tree.bodies order."""
-    rows = len(tree.first) - 1 + np.argsort(tree.order)  # the body rows in input order
+    rows = np.empty_like(tree.order)  # the body rows in input order
+    rows[tree.order] = np.arange(len(tree.first) - 1, len(tree.id))
     return _fields(tree, tree.cx[rows], tree.cy[rows], tree.id[rows], params)

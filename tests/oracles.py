@@ -20,7 +20,7 @@ import numpy as np
 from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
                            COHESION_NORMALIZED, WorldState)
 from orgtree.detect import CellSet
-from orgtree.errors import SingularPairError, ZeroDistanceError
+from orgtree.errors import DynamicsError, SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
 from orgtree.kernels import KernelParams
 from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
@@ -379,7 +379,9 @@ def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:
     the fixed child order.  Any node whose side-to-distance ratio beats theta
     is collapsed to a pseudo-body at its center of charge, unless its charges
     cancel or its box holds the target; other internal nodes recurse, and
-    surviving leaves are summed body by body, skipping target_id.
+    surviving leaves are summed body by body, skipping target_id.  The first
+    term that is not finite raises SingularPairError, naming its body pair
+    (or no pair, for a cell); a sum that overflows raises DynamicsError.
     """
     tx = target.x
     ty = target.y
@@ -406,7 +408,12 @@ def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:
                 side = h
             # s/d < theta without the square root: s^2 < theta^2 * d^2.
             if d2 > 0.0 and side * side < th2 * d2:
-                w = const * node.total_charge / ((d2 + eps2) * math.sqrt(d2 + eps2))
+                r3 = (d2 + eps2) * math.sqrt(d2 + eps2)
+                w = const * node.total_charge / r3 if r3 else math.inf
+                if not (math.isfinite(w * dx) and math.isfinite(w * dy)):
+                    c = node.coord
+                    raise SingularPairError(f"the field term of cell {[c.depth, c.ix, c.iy]} at "
+                                            f"target {target_id} is not finite")
                 xs.append(w * dx)
                 ys.append(w * dy)
                 continue
@@ -417,16 +424,20 @@ def tree_field_walk(tree, target: Vec2, target_id: int, params) -> Vec2:
                 dx = b.position.x - tx
                 dy = b.position.y - ty
                 r2 = dx * dx + dy * dy + eps2
-                if r2 == 0.0:
+                r3 = r2 * math.sqrt(r2)
+                w = const * b.charge / r3 if r3 else math.inf
+                if not (math.isfinite(w * dx) and math.isfinite(w * dy)):
                     raise SingularPairError(
-                        f"body {b.id} coincides with the target and softening is 0",
+                        f"the field term of body {b.id} at target {target_id} is not finite",
                         pair=(b.id, target_id))
-                w = const * b.charge / (r2 * math.sqrt(r2))
                 xs.append(w * dx)
                 ys.append(w * dy)
         else:
             stack.extend(reversed(node.children))
-    return Vec2(math.fsum(xs), math.fsum(ys))
+    try:
+        return Vec2(math.fsum(xs), math.fsum(ys))
+    except OverflowError:
+        raise DynamicsError(f"the field at target {target_id} overflows") from None
 
 
 def neighborhood(state: WorldState, j: int, same_species: bool) -> list[int]:

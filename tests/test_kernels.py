@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orgtree import kernels
-from orgtree.errors import SingularPairError
-from orgtree.geometry import Vec2
+from orgtree.errors import DynamicsError, SingularPairError
+from orgtree.geometry import AABB, Vec2
 from orgtree.kernels import (MODE_COULOMB, MODE_GRAVITY, KernelParams,
                              direct_field, direct_fields, tree_field, tree_fields)
 from orgtree.ntree import Body, build_tree
@@ -323,3 +324,174 @@ def test_direct_paths_report_a_pair_too_close_for_a_finite_term():
         pair_field(bodies[1], bodies[0].position, params, target_id=0)
     assert err.value.pair == (1, 0)
     assert direct_field(bodies, 2, params).x < 0.0  # a far target is unaffected
+
+
+def fsum_hex(terms):
+    try:
+        return math.fsum(terms).hex()
+    except (ValueError, OverflowError) as err:
+        return type(err).__name__
+
+
+def summed_hex(segments, seed=0):
+    """kernels._fsums over the segments, their terms interleaved at random,
+    and math.fsum over each segment's terms in that order."""
+    pairs = [(k, x) for k, seg in enumerate(segments) for x in seg]
+    random.Random(seed).shuffle(pairs)
+    owner = np.array([k for k, _ in pairs], dtype=np.intp)
+    v = np.array([x for _, x in pairs], dtype=float)
+    want = [fsum_hex([x for j, x in pairs if j == k]) for k in range(len(segments))]
+    errors = [w for w in want if w.endswith("Error")]
+    try:
+        got = [x.hex() for x in kernels._fsums(owner, v, len(segments)).tolist()]
+    except (ValueError, OverflowError) as err:
+        got = type(err).__name__
+    return got, errors[0] if errors else want
+
+
+def sign(x, negative):
+    return -x if negative else x
+
+
+mantissas = st.sampled_from([0.5, 0.75]) | st.floats(0.5, 1.0, exclude_max=True)
+magnitudes = st.builds(math.ldexp, mantissas, st.integers(-1074, 1000))
+signed = st.builds(sign, magnitudes, st.booleans())
+
+
+def near_tie(f, e, d, k, negative, tiny):
+    """x = f 2^e, a term k ulps off half the gap from x to its neighbour above
+    (d = 0) or below (d = 1), and terms far below both."""
+    return ([math.ldexp(f, e), sign(math.ldexp(1.0 + k * 2.0 ** -52, e - 54 - d), negative)]
+            + [sign(math.ldexp(1.0, e - 107 - d - t), n) for t, n in tiny])
+
+
+near_ties = st.builds(near_tie, mantissas, st.integers(-900, 900), st.integers(0, 1),
+                      st.integers(-2, 2), st.booleans(),
+                      st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=12))
+cancelling = st.lists(signed, max_size=10).map(lambda xs: xs + [-x for x in xs])
+segments = st.one_of(st.lists(signed, max_size=30), near_ties, cancelling,
+                     st.lists(st.just(-0.0), max_size=3), st.lists(signed, max_size=1),
+                     st.lists(st.builds(sign, st.floats(0.0, 2.0 ** -1000), st.booleans()),
+                              max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(segments, min_size=1, max_size=8), st.integers(0, 2 ** 32))
+@example([[1.0, -(2.0 ** -54), -(2.0 ** -110)]], 0)  # lands on a power of two from below
+@example([[1.5, 2.0 ** -53 - 2.0 ** -106] + [2.0 ** -108] * 8], 0)  # r's sum rounds down
+@example([[1.0, 2.0 ** -53, 2.0 ** -106], [], [-0.0], [-0.0, 0.0], [5e-324, -5e-324]], 3)
+def test_exact_segment_sums_equal_fsum_bitwise(segs, seed):
+    got, want = summed_hex(segs, seed)
+    assert got == want == [fsum_hex(s) for s in segs]  # exact sums ignore term order
+
+
+@pytest.mark.parametrize("segs", [
+    [[1.0], [math.inf, 1.0], [math.nan]],
+    [[math.inf, -math.inf], [2.0]],
+    [[1.5e308, 1.5e308], [1.0]],
+    [[1e308, 1e308, -1e308], [2.0 ** 901, 2.0 ** 901]],
+])
+def test_exact_segment_sums_outside_the_range_are_fsums(segs):
+    # The first failing fsum raises; an intermediate overflow depends on the
+    # order of the terms, which is theirs in v.
+    for seed in range(4):
+        got, want = summed_hex(segs, seed)
+        assert got == want
+
+
+def dyadic_scene(kind, charges):
+    """Bodies at multiples of 1/16 or 1/128, where terms cancel exactly: a 15 x
+    15 lattice, whose middle row and column have zero fields at theta 0, or
+    64 bodies on the line y = 1/2, whose y sums are all +0 or -0."""
+    if kind == "lattice":
+        spots = [(i / 16, j / 16) for i in range(1, 16) for j in range(1, 16)]
+    else:
+        spots = [((2 * i + 1) / 128, 0.5) for i in range(64)]
+    return [b(i, x, y, charges[i % len(charges)]) for i, (x, y) in enumerate(spots)]
+
+
+@pytest.mark.parametrize("kind, theta, charges", [
+    ("lattice", 0.0, [1.0]), ("lattice", 0.0, [2.0, -1.0]), ("line", 0.0, [1.0]),
+    ("line", 0.5, [1.0, 2.0]), ("line", 1.0, [1.0, -1.0]), ("line", 0.5, [-1.0])])
+def test_sums_that_cancel_to_zero_take_the_fsum_fallback(kind, theta, charges):
+    bodies = dyadic_scene(kind, charges)
+    tree = build_tree(bodies, UNIT_BOX, capacity=4)
+    params = KernelParams(theta=theta, mode=MODE_COULOMB)
+    got = [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)]
+    assert got == [outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+                   for x in bodies]
+    zeros = [h for pair in got for h in pair if h in ("0x0.0p+0", "-0x0.0p+0")]
+    assert len(zeros) >= (30 if kind == "lattice" else 64)
+    if charges == [-1.0]:  # every y term is -0.0; the sum's sign is fsum's
+        assert [y for _, y in got] == [math.fsum([-0.0] * 63).hex()] * len(bodies)
+
+
+def test_fallback_for_every_sum_gives_the_certified_bits(monkeypatch):
+    tree, bodies = uniform_tree(2000, seed=8, capacity=10)
+    params = KernelParams(theta=0.5)
+    fsum, calls = math.fsum, []
+    monkeypatch.setattr(kernels.math, "fsum", lambda xs: calls.append(1) or fsum(xs))
+    certified = [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)]
+    assert len(calls) < 40
+    calls.clear()
+    # No gap to the neighbouring double: the certificate rejects every sum.
+    monkeypatch.setattr(kernels.np, "nextafter", lambda x, toward: x)
+    assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
+    assert len(calls) == 2 * len(bodies)
+    # Blocks whose sums are not all finite are summed again target by target.
+    monkeypatch.setattr(kernels, "_fsums", lambda owner, v, m: np.full(m, np.nan))
+    assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
+
+
+def error_outcome(fn):
+    """A field's exact bits, or the error's type, pair and what it names."""
+    try:
+        v = fn()
+    except DynamicsError as err:
+        return (type(err).__name__, err.pair, str(err).split(":")[0])
+    return (v.x.hex(), v.y.hex())
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([1e300, 1e305, 1e307]), st.sampled_from([1, 4]))
+def test_non_finite_terms_raise_for_the_first_pair_depth_first(seed, theta, constant,
+                                                               capacity):
+    # Heavy bodies make const * charge overflow, in body terms and in the
+    # terms of every cell that holds one.
+    rng = random.Random(seed)
+    bodies = [b(i, rng.random(), rng.random(), rng.choice([1.0, 1.0, 1.0, 1e4]))
+              for i in range(rng.randrange(2, 60))]
+    tree = build_tree(bodies, UNIT_BOX, capacity)
+    params = KernelParams(theta=theta, constant=constant)
+    walked = [error_outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+              for x in bodies]
+    assert [error_outcome(lambda: tree_field(tree, x.position, x.id, params))
+            for x in bodies] == walked
+    first = next((w for w in walked if w[0] in ("SingularPairError", "DynamicsError")), None)
+    assert error_outcome(lambda: tree_fields(tree, params)[0]) == (first or walked[0])
+
+
+def test_direct_sum_raises_for_its_first_non_finite_term():
+    rng = random.Random(5)
+    bodies = [b(10 + i, rng.random(), rng.random()) for i in range(50)]
+    params = KernelParams(constant=1e305)
+    finite = lambda f: math.isfinite(f.x) and math.isfinite(f.y)
+    first = next((x.id, t.id) for t in bodies for x in bodies
+                 if x is not t and not finite(pair_field(x, t.position, params)))
+    with pytest.raises(SingularPairError, match="is not finite") as err:
+        direct_fields(bodies, params)
+    assert err.value.pair == first
+
+
+def test_sums_of_finite_terms_that_overflow_name_their_target():
+    # An equilateral triangle of side 1: every term is at most 1.5e308, but
+    # each x sum is +-2.25e308.
+    bodies = [b(7, 0.0, 0.0), b(8, 1.0, 0.0), b(9, 0.5, math.sqrt(3.0) / 2)]
+    tree = build_tree(bodies, AABB(Vec2(-1.0, -1.0), Vec2(2.0, 2.0)), 4)
+    params = KernelParams(constant=1.5e308)
+    for fn in (lambda: direct_fields(bodies, params), lambda: tree_fields(tree, params),
+               lambda: tree_field_walk(tree, bodies[0].position, 7, params)):
+        with pytest.raises(DynamicsError, match="the field at target 7 overflows") as err:
+            fn()
+        assert type(err.value) is DynamicsError

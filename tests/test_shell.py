@@ -397,6 +397,31 @@ class TestCli:
         assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, message", [
+    # Pairs close enough that constant / r^3 overflows: inf - inf in a sum.
+    ({"world": {"box": [[0.0, 0.0], [1.0, 1.0]]}, "kernels": {"constant": 1e305},
+      "species": [{"name": "m", "count": 50, "center": [0.5, 0.5], "radius": 0.5,
+                   "seed": 4100}]},
+     "field term of body 6 at target 0 is not finite"),
+    # Distinct bodies whose r^3 is subnormal, so 1 / r^3 overflows.
+    ({"kernels": {"softening": 0.0},
+      "species": [{"name": "m", "count": 40, "center": [1e-100, 1e-100], "radius": 1e-104,
+                   "seed": 6}]},
+     "field term of body 1 at target 0 is not finite"),
+    # A unit equilateral triangle: every term is finite, every x sum is 2.25e308.
+    ({"world": {"box": [[-1.0, -1.0], [2.0, 2.0]]}, "kernels": {"constant": 1.5e308},
+      "species": [{"name": n, "count": 1, "center": c, "radius": 0.0} for n, c in
+                  (("a", [0.0, 0.0]), ("b", [1.0, 0.0]), ("c", [0.5, math.sqrt(3.0) / 2]))]},
+     "the field at target 0 overflows"),
+])
+def test_non_finite_field_exits_2_with_one_line(tmp_path, capsys, data, message):
+    cfg_path = write_config(tmp_path, data)
+    assert main(["field", "--config", str(cfg_path), "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dynamics error: ") and message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, where, key, value", [
     ("field", "kernels", "theta", float("nan")),
     ("field", "kernels", "softening", float("inf")),
