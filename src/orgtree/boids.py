@@ -24,21 +24,23 @@ dt * v' and the tree is rebuilt, so the update is synchronous and independent
 of processing order.
 
 The update runs batched over the tree's rows: one tree-pruned radius query
-(ntree.radius_hits) finds every boid's neighbours in the order the scalar
-query_radius_bodies returns them, every term is computed with the same float
-operations as a one-boid-at-a-time loop, and each sum adds its terms in
-neighbour order from 0.0 with np.add.accumulate, never pairwise.  The result
-therefore equals that scalar loop bit for bit; the loop itself is kept as the
-test reference.  A pair whose d^3 is 0 (coincident, or so close that it
+(ntree.radius_hits) finds every boid's neighbours leaf by leaf depth-first,
+every term is computed with the same float operations as a
+one-boid-at-a-time loop, and each sum adds its terms in neighbour order from
+0.0 with np.add.accumulate, never pairwise.  The result therefore equals
+that scalar loop bit for bit; the loop itself is kept as the test reference
+(tests/oracles.py).  A pair whose d^3 is 0 (coincident, or so close that it
 underflows) raises ZeroDistanceError for the pair the scalar loop meets
 first: the lowest boid id, its same-species neighbours before the others.
-Reflection folds a jump of many box widths in closed form, and a non-finite
+
+The move is numpy over whole arrays too.  Reflection folds with a scalar
+fold's operations per bounce, up to 64 bounces, and a jump of many box
+widths in closed form; wrap is a floored remainder.  A non-finite
 displacement is a DynamicsError naming the boid.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,8 +155,8 @@ def _ordered_sums(owner: np.ndarray, width: int, terms) -> np.ndarray:
 def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Post-update velocities of every body in id order, or of body j only.
 
-    Neighbours come from ntree.radius_hits, the batched query_radius_bodies,
-    so every target gets exactly its scalar neighbour list in the same order.
+    Neighbours come from ntree.radius_hits, so every target gets exactly its
+    scalar neighbour list in the same order.
     Each steering term is built with the same float operations as the scalar
     loop and summed in neighbour order, so the result equals that loop bit
     for bit.
@@ -245,32 +247,38 @@ def step_velocity(state: WorldState, j: int) -> Vec2:
     return Vec2(float(vx[0]), float(vy[0]))
 
 
-def _reflect(x: float, v: float, lo: float, hi: float) -> tuple[float, float]:
-    # Fold back into [lo, hi], negating the velocity component per bounce.
+def _reflect(x: np.ndarray, v: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fold positions back into [lo, hi], negating the velocity per bounce.
+
+    Up to _MAX_FOLDS single folds of what is still outside, then a closed
+    form for jumps across many box widths: reflection is periodic with
+    period 2 * (hi - lo), and the velocity sign flips in the period's second
+    half.
+    """
+    x, v = x.copy(), v.copy()
+    out = np.flatnonzero((x < lo) | (x > hi))
     for _ in range(_MAX_FOLDS):
-        if lo <= x <= hi:
+        if not len(out):
             return x, v
-        x = 2.0 * lo - x if x < lo else 2.0 * hi - x
-        v = -v
-    if lo <= x <= hi:
-        return x, v
-    # A jump across many box widths: fold in closed form.  Reflection is
-    # periodic with period 2 * (hi - lo); the velocity sign flips in the
-    # period's second half.
-    u = math.fmod(x - lo, 2.0 * (hi - lo))
-    if u < 0.0:
-        u += 2.0 * (hi - lo)
-    if u <= hi - lo:
-        return lo + u, v
-    return lo + (2.0 * (hi - lo) - u), -v
+        xo = x[out]
+        x[out] = np.where(xo < lo, 2.0 * lo - xo, 2.0 * hi - xo)
+        v[out] = -v[out]
+        out = out[(x[out] < lo) | (x[out] > hi)]
+    span = 2.0 * (hi - lo)
+    u = np.fmod(x[out] - lo, span)
+    u = np.where(u < 0.0, u + span, u)
+    back = u <= hi - lo
+    x[out] = np.where(back, lo + u, lo + (span - u))
+    v[out] = np.where(back, v[out], -v[out])
+    return x, v
 
 
-def _wrap(x: float, lo: float, hi: float) -> float:
-    if lo <= x <= hi:
-        return x
-    return lo + ((x - lo) % (hi - lo))
+def _wrap(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Positions outside [lo, hi] translated periodically into it."""
+    return np.where((lo <= x) & (x <= hi), x, lo + np.remainder(x - lo, hi - lo))
 
 
+@np.errstate(all="ignore")  # like Python floats: a fold past the float range passes silently
 def step_world(state: WorldState) -> WorldState:
     """Advance every boid by one synchronous step and rebuild the tree.
 
@@ -282,24 +290,20 @@ def step_world(state: WorldState) -> WorldState:
     params = state.params
     vx, vy = _velocities(state)
     px, py = columns(state.bodies, "position.x position.y")
-    with np.errstate(over="ignore"):  # an infinite displacement is reported below
-        px, py = px + params.dt * vx, py + params.dt * vy
+    px, py = px + params.dt * vx, py + params.dt * vy
     bad = np.flatnonzero(~(np.isfinite(px) & np.isfinite(py)))
     if len(bad):
         k = bad[0]
         raise DynamicsError(f"boid {state.bodies[k].id} moves by a non-finite displacement:"
                             f" dt {params.dt} times velocity ({vx[k]}, {vy[k]})")
     box = params.box
-    reflect = params.boundary == BOUNDARY_REFLECT
-    moved: list[Body] = []
-    for b, x, y, u, v in zip(state.bodies, px.tolist(), py.tolist(), vx.tolist(), vy.tolist()):
-        if reflect:
-            x, u = _reflect(x, u, box.lo.x, box.hi.x)
-            y, v = _reflect(y, v, box.lo.y, box.hi.y)
-        else:
-            x = _wrap(x, box.lo.x, box.hi.x)
-            y = _wrap(y, box.lo.y, box.hi.y)
-        moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(u, v), b.charge))
+    if params.boundary == BOUNDARY_REFLECT:
+        px, vx = _reflect(px, vx, box.lo.x, box.hi.x)
+        py, vy = _reflect(py, vy, box.lo.y, box.hi.y)
+    else:
+        px, py = _wrap(px, box.lo.x, box.hi.x), _wrap(py, box.lo.y, box.hi.y)
+    moved = tuple(Body(b.id, b.species, Vec2(x, y), Vec2(u, v), b.charge) for b, x, y, u, v in
+                  zip(state.bodies, px.tolist(), py.tolist(), vx.tolist(), vy.tolist()))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
-    return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,
+    return WorldState(bodies=moved, tree=tree, step=state.step + 1,
                       seed=state.seed, params=params)

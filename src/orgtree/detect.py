@@ -62,8 +62,7 @@ def _coord_pool(cells: CellSet | Iterable[CellCoord]):
     return cells
 
 
-def group_cells(cells: CellSet, seed: int = 0, *,
-                single_pass: bool = False) -> list[frozenset[CellCoord]]:
+def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
     """Reference grouping: seed a group on a random cell, sweep for contacts.
 
     Each sweep scans the remaining cells in sorted order and absorbs any cell
@@ -72,10 +71,6 @@ def group_cells(cells: CellSet, seed: int = 0, *,
     fell.  A later sweep only needs to test against cells absorbed by the
     previous one: anything touching an older member was already absorbed in
     the sweep after that member joined.
-
-    single_pass=True stops after the first sweep.  That variant can split a
-    chain of cells depending on scan order and exists only to demonstrate why
-    the closure matters; see the companion test.
     """
     rng = random.Random(seed)
     remaining = set(_coord_pool(cells))
@@ -85,21 +80,15 @@ def group_cells(cells: CellSet, seed: int = 0, *,
         c = pool[rng.randrange(len(pool))]
         remaining.remove(c)
         group = {c}
-        if single_pass:
-            for cand in sorted(remaining):
-                if any(cells_touch(cand, m) for m in group):
-                    remaining.remove(cand)
-                    group.add(cand)
-        else:
-            frontier = [c]
-            while frontier:
-                absorbed = [cand for cand in sorted(remaining)
-                            if any(cells_touch(cand, m) for m in frontier)]
-                if not absorbed:
-                    break
-                remaining.difference_update(absorbed)
-                group.update(absorbed)
-                frontier = absorbed
+        frontier = [c]
+        while frontier:
+            absorbed = [cand for cand in sorted(remaining)
+                        if any(cells_touch(cand, m) for m in frontier)]
+            if not absorbed:
+                break
+            remaining.difference_update(absorbed)
+            group.update(absorbed)
+            frontier = absorbed
         groups.append(frozenset(group))
     return groups
 
@@ -117,7 +106,7 @@ def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
     Neither `tree` nor `seed` is read; both stay for callers that pass them.
     """
     coords = list(dict.fromkeys(_coord_pool(cells)))
-    index = {(c.depth, c.ix, c.iy): i for i, c in enumerate(coords)}
+    index = {c: i for i, c in enumerate(coords)}
     depths = sorted({c.depth for c in coords}, reverse=True)
     # Shifts up to the shallower depths present: for c itself, for a neighbour.
     walks = {d: (up := tuple(d - e for e in depths if e < d), (0, *up)) for d in depths}
@@ -130,7 +119,7 @@ def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
         return i
 
     for i, c in enumerate(coords):
-        d, ix, iy = c.depth, c.ix, c.iy
+        d, ix, iy = c
         own, other = walks[d]
         for nx in (ix - 1, ix, ix + 1):
             for ny in (iy - 1, iy, iy + 1):
@@ -166,13 +155,13 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
         cell_group = frozenset(raw)
         rows: list[int] = []
         for c in sorted(cell_group):
-            k = row.get((c.depth, c.ix, c.iy))
-            parent = row.get((c.depth - 1, c.ix >> 1, c.iy >> 1))
+            d, ix, iy = c
+            k, parent = row.get(c), row.get((d - 1, ix >> 1, iy >> 1))
             if k is not None and first[k] >= n:  # a leaf row
                 rows.extend(range(first[k], first[k] + count[k]))
             elif k is not None or parent is None or first[parent] >= n:
                 # not an empty leaf either, the rowless child of an internal row
-                raise ValueError(f"cell ({c.depth}, {c.ix}, {c.iy}) is not a leaf of the tree")
+                raise ValueError(f"cell ({d}, {ix}, {iy}) is not a leaf of the tree")
         if not rows:  # no cells, or only empty leaves
             continue
         rows.sort(key=ids.__getitem__)  # by member id

@@ -7,6 +7,7 @@ floating-point rounding of box edges.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 
@@ -17,31 +18,8 @@ class Vec2:
     x: float
     y: float
 
-    def __add__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> Vec2:
-        return Vec2(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: Vec2) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm2(self) -> float:
-        return self.x * self.x + self.y * self.y
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
-
-
-ZERO = Vec2(0.0, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,35 +41,29 @@ class AABB:
     def height(self) -> float:
         return self.hi.y - self.lo.y
 
-    @property
-    def center(self) -> Vec2:
-        return Vec2((self.lo.x + self.hi.x) / 2.0, (self.lo.y + self.hi.y) / 2.0)
-
     def contains(self, p: Vec2) -> bool:
         """Closed membership test, boundary points included."""
         return self.lo.x <= p.x <= self.hi.x and self.lo.y <= p.y <= self.hi.y
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CellCoord:
+class CellCoord(namedtuple("CellCoord", "depth ix iy")):
     """Identity of a quadtree cell: subdivision depth plus column/row index.
 
-    Index ranges are 0 <= ix, iy < 2**depth.  Ordering is lexicographic on
-    (depth, ix, iy), which gives every deterministic sort in the package a
-    single well-defined key.
+    Index ranges are 0 <= ix, iy < 2**depth.  A CellCoord is the tuple
+    (depth, ix, iy): it equals and hashes as that triple, and orders
+    lexicographically on it, which gives every deterministic sort in the
+    package a single well-defined key.
     """
 
-    depth: int
-    ix: int
-    iy: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.depth < 0:
-            raise ValueError(f"negative depth: {self.depth}")
-        side = 1 << self.depth
-        if not (0 <= self.ix < side and 0 <= self.iy < side):
-            raise ValueError(
-                f"cell index out of range at depth {self.depth}: ({self.ix}, {self.iy})")
+    def __new__(cls, depth: int, ix: int, iy: int) -> CellCoord:
+        if depth < 0:
+            raise ValueError(f"negative depth: {depth}")
+        side = 1 << depth
+        if not (0 <= ix < side and 0 <= iy < side):
+            raise ValueError(f"cell index out of range at depth {depth}: ({ix}, {iy})")
+        return tuple.__new__(cls, (depth, ix, iy))
 
 
 def child_coords(c: CellCoord) -> tuple[CellCoord, CellCoord, CellCoord, CellCoord]:

@@ -134,7 +134,7 @@ def _summed(xs, ys, target: int, sources: list, skip: int) -> Vec2:
 
 
 @np.errstate(all="ignore")  # non-finite sums go to math.fsum
-def _fsums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+def _fsums(owner: np.ndarray, v: np.ndarray, m: int, huge=math.fsum) -> np.ndarray:
     """math.fsum(v[owner == k]) for each k < m, bit for bit, with no sort.
 
     Each term splits exactly into q + r (Rump, Ogita & Oishi 2008): q on the
@@ -142,7 +142,9 @@ def _fsums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     so q sums exactly in any order, and r, whose sum errs by less than b.
     The rounded total stands if its TwoSum error plus b is strictly below
     half the gap to the next double toward zero (the nearer one); math.fsum
-    redoes the rest, zero totals and |v| totals outside [2^-900, 2^900].
+    redoes the rest, zero totals and |v| totals outside [2^-900, 2^900],
+    except that huge sums a total above 2^900: fsum meets the terms in v's
+    order, and whether an intermediate sum overflows depends on it.
     """
     n = np.bincount(owner, minlength=m)
     s = np.abs(v)
@@ -160,7 +162,8 @@ def _fsums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     if not good.all():
         redo = np.flatnonzero(~good[owner])
         redo = np.split(v[redo[np.argsort(owner[redo], kind="stable")]], np.cumsum(n[~good])[:-1])
-        res[~good] = [math.fsum(terms.tolist()) for terms in redo]
+        res[~good] = [(huge if big else math.fsum)(terms.tolist())
+                      for terms, big in zip(redo, (a[~good] > 2.0 ** 900).tolist())]
     return res
 
 
@@ -206,8 +209,9 @@ def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
             row = np.arange(len(t)) + np.repeat(first[row] - np.cumsum(n) + n, n)
         ts, rows, xs, ys = zip(*terms)
         owner, m = np.concatenate(ts) - lo, hi - lo
-        try:
-            f = _fsums(np.concatenate((owner, owner + m)), np.concatenate(xs + ys), 2 * m)
+        try:  # a huge total's fsum depends on the term order: left to the depth-first sums
+            f = _fsums(np.concatenate((owner, owner + m)), np.concatenate(xs + ys), 2 * m,
+                       huge=lambda terms: math.nan)
         except (ValueError, OverflowError):
             f = np.full(2 * m, np.nan)
         if np.isfinite(f).all():

@@ -13,9 +13,10 @@ which makes traversals, queries, and aggregate sums reproducible bit for bit.
 The tree is stored once, as numpy rows (see `NTree`): the non-empty nodes
 breadth-first, then the bodies depth-first (Z/Morton order; Warren & Salmon
 1993).  Barnes-Hut fields, boids neighbourhoods and detection all read these
-rows; `radius_hits` is the batched form of `query_radius_bodies` over them.
-`NTree.root` builds a read-only `Node` view of the rows on demand for callers
-that walk the tree as objects.
+rows.  `radius_hits` is the one radius query over them, for many centers at
+once; `NTree.query_radius_bodies` is its one-center call.  `NTree.root`
+builds a read-only `Node` view of the rows on demand for callers that walk
+the tree as objects.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ class NTree:
     charge: np.ndarray = field(repr=False)
     id: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)
-    _walk: list | None = field(default=None, init=False, repr=False)  # see query_radius_bodies
 
     @property
     def root(self) -> Node:
@@ -134,7 +134,7 @@ class NTree:
         leaves: list[Node] = []
 
         def view(coord: CellCoord, box: AABB) -> Node:
-            k = row.get((coord.depth, coord.ix, coord.iy))
+            k = row.get(coord)
             kids, held, total, com = None, (), 0.0, None
             if k is not None:
                 total = q[k]
@@ -171,54 +171,21 @@ class NTree:
         """Ids of the bodies query_radius_bodies returns, in the same order."""
         return [b.id for b in self.query_radius_bodies(center, radius)]
 
+    @np.errstate(all="ignore")  # like Python floats: a huge radius overflows to inf silently
     def query_radius_bodies(self, center: Vec2, radius: float) -> list[Body]:
         """Bodies with distance <= radius from center, boundary inclusive.
 
-        Only nodes whose box touches the disk's bounding square are descended,
-        in the fixed child order, so hits come leaf by leaf depth-first and in
-        leaf order within a leaf.  Bodies are then filtered by exact squared
-        distance: no square root is taken and a body exactly on the radius is
-        always included.
-
-        A scalar walk over the rows.  The first call stores them on the tree,
-        in one assignment, as Python tuples: the box, whether it is a leaf, and
-        its bodies or its child rows in reverse.  Numpy reads took the walk
-        about twice as long.
+        A one-target call of radius_hits: only nodes whose box touches the
+        disk's bounding square are descended, in the fixed child order, so
+        hits come leaf by leaf depth-first and in leaf order within a leaf.
+        Bodies are filtered by exact squared distance: no square root is
+        taken and a body exactly on the radius is always included.
         """
         if radius < 0:
             raise ValueError(f"negative query radius: {radius}")
-        if self._walk is None:
-            n = len(self.first) - 1
-            bodies = [self.bodies[i] for i in self.order.tolist()]
-            object.__setattr__(self, "_walk", [
-                (*box, True, tuple(bodies[f - n:f - n + k])) if f >= n
-                else (*box, False, range(f + k - 1, f - 1, -1))
-                for *box, f, k in zip(*self.box[:4].tolist(), self.first.tolist(),
-                                      self.count.tolist())])
-        rows = self._walk
-        cx = center.x
-        cy = center.y
-        qlo_x = cx - radius
-        qhi_x = cx + radius
-        qlo_y = cy - radius
-        qhi_y = cy + radius
-        r2 = radius * radius
-        out: list[Body] = []
-        stack = [0]  # the root, or in an empty tree the sentinel and its empty box
-        while stack:
-            lo_x, lo_y, hi_x, hi_y, leaf, items = rows[stack.pop()]
-            if lo_x > qhi_x or qlo_x > hi_x or lo_y > qhi_y or qlo_y > hi_y:
-                continue
-            if leaf:
-                for b in items:
-                    p = b.position
-                    dx = p.x - cx
-                    dy = p.y - cy
-                    if dx * dx + dy * dy <= r2:
-                        out.append(b)
-            else:
-                stack.extend(items)
-        return out
+        hits = [body for *_, body, _ in radius_hits(
+            self, np.array([center.x]), np.array([center.y]), np.array([radius], dtype=float))]
+        return [self.bodies[i] for i in self.order[np.concatenate(hits)].tolist()]
 
     def leaf_at(self, coord: CellCoord) -> Node | None:
         """The leaf with exactly this coordinate, or None when no such leaf exists."""
@@ -348,8 +315,8 @@ def _near_leaves(tree: NTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.n
     """(target, leaf row) for every leaf whose box meets the query box of a
     target in lo .. hi-1, sorted by target, then depth-first.
 
-    A level-synchronous frontier that makes query_radius_bodies' box test on
-    every node it visits.  Each pair is replaced by its children in order and
+    A level-synchronous frontier that tests every node it visits against
+    the query box.  Each pair is replaced by its children in order and
     a leaf by itself, so the frontier stays in depth-first order and ends as
     the leaves met.
     """
@@ -377,14 +344,16 @@ def _near_leaves(tree: NTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.n
 
 
 def radius_hits(tree: NTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
-    """query_radius_bodies for many centers at once, over the tree's rows.
+    """Bodies within radius of many centers at once, over the tree's rows.
 
     Yields (a, b, target, body, d2) chunk by chunk for consecutive targets
     a .. b-1: the target indexes x, y and radius, body is the index in the
-    depth-first body order (row n + body) and d2 the squared distance.  Each
-    target's hits come as query_radius_bodies returns them, leaf by leaf
-    depth-first and in leaf order, with its inclusive dx*dx + dy*dy <= r*r
-    test, so every target gets the same bodies in the same order.
+    depth-first body order (row n + body) and d2 the squared distance.  A
+    target's hits are the bodies of the leaves whose box meets its query
+    box, leaf by leaf depth-first and in leaf order, that pass the inclusive
+    dx*dx + dy*dy <= r*r test: the order of a scalar depth-first walk that
+    descends only nodes meeting the query box (tests/oracles.py,
+    query_radius_walk).
     """
     first, count = tree.first, tree.count
     n = len(first) - 1

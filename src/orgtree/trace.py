@@ -39,7 +39,7 @@ def header_dict(config_dict: dict[str, Any]) -> dict[str, Any]:
 def organization_to_dict(org: Organization) -> dict[str, Any]:
     return {
         "id": org.id,
-        "cells": [[c.depth, c.ix, c.iy] for c in sorted(org.cells)],
+        "cells": [list(c) for c in sorted(org.cells)],
         "members": list(org.members),
         "centroid": [org.centroid.x, org.centroid.y],
         "bbox": [[org.bounding_box.lo.x, org.bounding_box.lo.y],

@@ -4,9 +4,9 @@ Everything in this module is deliberately naive and, where possible, exact:
 rational box arithmetic instead of floats, union-find over all-pairs contact
 instead of tree traversal, linear scans instead of pruned queries, one boid and
 one neighbour at a time instead of numpy batches, and a dense weight matrix
-instead of row blocks.  None of it imports the grouping, field, or steering
-code under test beyond the plain data types, the integer cell-contact test
-and the scalar tree walker.
+instead of row blocks.  None of it imports the grouping, field, query or
+steering code under test beyond the plain data types and the integer
+cell-contact test.
 """
 
 from __future__ import annotations
@@ -128,6 +128,52 @@ def neighbors_of(node, c: CellCoord, cells) -> list[CellCoord]:
                 if cells_touch(child.coord, c):
                     stack.append(child)
     out.sort()
+    return out
+
+
+@lru_cache(maxsize=16)  # keyed by the tree's identity: an NTree has no __eq__
+def _walk_table(tree) -> list[tuple]:
+    """Per tree row, as Python tuples: its box, whether it is a leaf, and its
+    bodies or its child rows in reverse."""
+    n = len(tree.first) - 1
+    bodies = [tree.bodies[i] for i in tree.order.tolist()]
+    return [(*box, True, tuple(bodies[f - n:f - n + k])) if f >= n
+            else (*box, False, range(f + k - 1, f - 1, -1))
+            for *box, f, k in zip(*tree.box[:4].tolist(), tree.first.tolist(),
+                                  tree.count.tolist())]
+
+
+def query_radius_walk(tree, center: Vec2, radius: float) -> list[Body]:
+    """Bodies within the closed disk, by a scalar depth-first walk of the rows.
+
+    The reference for ntree.radius_hits and NTree.query_radius_bodies.  Only
+    nodes whose box touches the disk's bounding square are descended, in the
+    fixed child order, so hits come leaf by leaf depth-first and in leaf order
+    within a leaf, filtered by exact squared distance.
+    """
+    rows = _walk_table(tree)
+    cx = center.x
+    cy = center.y
+    qlo_x = cx - radius
+    qhi_x = cx + radius
+    qlo_y = cy - radius
+    qhi_y = cy + radius
+    r2 = radius * radius
+    out: list[Body] = []
+    stack = [0]  # the root, or in an empty tree the sentinel and its empty box
+    while stack:
+        lo_x, lo_y, hi_x, hi_y, leaf, items = rows[stack.pop()]
+        if lo_x > qhi_x or qlo_x > hi_x or lo_y > qhi_y or qlo_y > hi_y:
+            continue
+        if leaf:
+            for b in items:
+                p = b.position
+                dx = p.x - cx
+                dy = p.y - cy
+                if dx * dx + dy * dy <= r2:
+                    out.append(b)
+        else:
+            stack.extend(items)
     return out
 
 
@@ -449,11 +495,11 @@ def neighborhood(state: WorldState, j: int, same_species: bool) -> list[int]:
     body = state.by_id[j]
     radius = state.params.species[body.species].neighbor_radius
     out = []
-    for i in state.tree.query_radius(body.position, radius):
-        if i == j:
+    for nb in query_radius_walk(state.tree, body.position, radius):
+        if nb.id == j:
             continue
-        if (state.by_id[i].species == body.species) == same_species:
-            out.append(i)
+        if (nb.species == body.species) == same_species:
+            out.append(nb.id)
     return out
 
 
@@ -541,7 +587,7 @@ def step_velocity_loop(state: WorldState, j: int) -> Vec2:
     species = body.species
     same: list[Body] = []
     other: list[Body] = []
-    for nb in state.tree.query_radius_bodies(body.position, sp.neighbor_radius):
+    for nb in query_radius_walk(state.tree, body.position, sp.neighbor_radius):
         if nb.id == j:
             continue
         (same if nb.species == species else other).append(nb)
@@ -621,7 +667,30 @@ def _reflect_loop(x: float, v: float, lo: float, hi: float) -> tuple[float, floa
     return x, v
 
 
-def _wrap_mod(x: float, lo: float, hi: float) -> float:
+def reflect_fold(x: float, v: float, lo: float, hi: float) -> tuple[float, float]:
+    """_reflect_loop for at most 64 folds, then a closed form.
+
+    The bit reference for the numpy boids._reflect.  Reflection is periodic
+    with period 2 * (hi - lo), and the velocity sign flips in the period's
+    second half; past 64 folds this gives other bits than _reflect_loop.
+    """
+    for _ in range(64):
+        if lo <= x <= hi:
+            return x, v
+        x = 2.0 * lo - x if x < lo else 2.0 * hi - x
+        v = -v
+    if lo <= x <= hi:
+        return x, v
+    u = math.fmod(x - lo, 2.0 * (hi - lo))
+    if u < 0.0:
+        u += 2.0 * (hi - lo)
+    if u <= hi - lo:
+        return lo + u, v
+    return lo + (2.0 * (hi - lo) - u), -v
+
+
+def wrap_mod(x: float, lo: float, hi: float) -> float:
+    """Periodic wrap into [lo, hi]; the reference for the numpy boids._wrap."""
     if lo <= x <= hi:
         return x
     return lo + ((x - lo) % (hi - lo))
@@ -648,8 +717,8 @@ def step_world_loop(state: WorldState) -> WorldState:
             x, vx = _reflect_loop(x, vx, box.lo.x, box.hi.x)
             y, vy = _reflect_loop(y, vy, box.lo.y, box.hi.y)
         else:
-            x = _wrap_mod(x, box.lo.x, box.hi.x)
-            y = _wrap_mod(y, box.lo.y, box.hi.y)
+            x = wrap_mod(x, box.lo.x, box.hi.x)
+            y = wrap_mod(y, box.lo.y, box.hi.y)
         moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(vx, vy), b.charge))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
     return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,

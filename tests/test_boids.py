@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orgtree import ntree
+from orgtree import boids, ntree
 from orgtree.boids import (BOUNDARY_POLICIES, BOUNDARY_WRAP, COHESION_LITERAL,
                            COHESION_MODES, SimParams, SpeciesParams, WorldState,
                            make_world, step_velocity, step_world)
@@ -18,8 +19,8 @@ from orgtree.geometry import AABB, Vec2
 from orgtree.ntree import Body
 from orgtree.run import place_bodies
 from conftest import BOX_100, CONFIG_DIR, clustered_bodies
-from oracles import (alignment, cohesion, neighborhood, separation,
-                     step_velocity_loop, step_world_loop)
+from oracles import (alignment, cohesion, neighborhood, reflect_fold, separation,
+                     step_velocity_loop, step_world_loop, wrap_mod)
 
 WIDE_BOX = AABB(Vec2(-10.0, -10.0), Vec2(10.0, 10.0))
 
@@ -465,6 +466,36 @@ class TestUnresolvablePairs:
         assert code == 2
         assert "at step 1" in err and "underflows" in err
         assert "Traceback" not in err
+
+
+def boundary_inputs(rng, lo, hi):
+    """Positions inside [lo, hi], on its walls, 1 fold, 2-64 folds, more than
+    64 folds and up to 1e300 box widths outside, with signed-zero velocities."""
+    w = hi - lo
+    xs = [lo, hi, lo + rng.random() * w, 0.0 if lo <= 0.0 <= hi else lo,
+          -0.0 if lo <= 0.0 <= hi else hi]
+    for widths in (rng.random(), rng.uniform(1.0, 63.0), rng.uniform(64.0, 1e4),
+                   10.0 ** rng.uniform(4.0, 300.0)):
+        xs += [hi + widths * w, lo - widths * w]
+    vs = [rng.choice([0.0, -0.0, 1.5, -2.25, rng.uniform(-5.0, 5.0)]) for _ in xs]
+    rng.shuffle(xs)
+    return np.array(xs), np.array(vs)
+
+
+def hexes(*columns):
+    return [tuple(v.hex() for v in row) for row in zip(*(c.tolist() for c in columns))]
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 100.0), (-10.0, 10.0), (-0.0, 1.0), (0.1, 97.3),
+                                    (-8.3, 24.1), (-1e-300, 3e-300)])
+def test_numpy_boundaries_equal_the_scalar_folds_bit_for_bit(lo, hi):
+    rng = random.Random(f"{lo} {hi}")
+    for _ in range(200):
+        xs, vs = boundary_inputs(rng, lo, hi)
+        want = [reflect_fold(x, v, lo, hi) for x, v in zip(xs.tolist(), vs.tolist())]
+        assert hexes(*boids._reflect(xs, vs, lo, hi)) == hexes(*map(np.array, zip(*want)))
+        want = [wrap_mod(x, lo, hi) for x in xs.tolist()]
+        assert hexes(boids._wrap(xs, lo, hi)) == hexes(np.array(want))
 
 
 class TestFarJumps:

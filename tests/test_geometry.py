@@ -16,17 +16,6 @@ def coords(max_depth=8):
 
 
 class TestVec2:
-    def test_arithmetic(self):
-        a = Vec2(1.0, 2.0)
-        b = Vec2(3.0, -1.0)
-        assert a + b == Vec2(4.0, 1.0)
-        assert a - b == Vec2(-2.0, 3.0)
-        assert a * 2.0 == Vec2(2.0, 4.0)
-        assert 2.0 * a == Vec2(2.0, 4.0)
-        assert a.dot(b) == 1.0
-        assert Vec2(3.0, 4.0).norm() == 5.0
-        assert Vec2(3.0, 4.0).norm2() == 25.0
-
     def test_finiteness(self):
         assert Vec2(0.0, 1.0).is_finite()
         assert not Vec2(float("nan"), 0.0).is_finite()
@@ -55,16 +44,26 @@ class TestAABB:
 
 class TestCellCoord:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative depth: -1$"):
             CellCoord(-1, 0, 0)
-        with pytest.raises(ValueError):
-            CellCoord(2, 4, 0)
+        with pytest.raises(ValueError, match=r"^cell index out of range at depth 2: \(4, 0\)$"):
+            CellCoord(depth=2, ix=4, iy=0)
         with pytest.raises(ValueError):
             CellCoord(2, 0, -1)
 
     def test_lexicographic_order(self):
         assert CellCoord(1, 1, 1) < CellCoord(2, 0, 0)
         assert CellCoord(2, 0, 3) < CellCoord(2, 1, 0)
+
+    def test_is_the_plain_triple(self):
+        c = CellCoord(3, 5, 1)
+        assert (c.depth, c.ix, c.iy) == tuple(c) == (3, 5, 1)
+        assert c == (3, 5, 1) and hash(c) == hash((3, 5, 1))
+        assert {(3, 5, 1): "row"}[c] == "row"
+        assert repr(c) == "CellCoord(depth=3, ix=5, iy=1)"
+        assert sorted([(3, 5, 2), c, (2, 0, 0)]) == [(2, 0, 0), c, (3, 5, 2)]
+        with pytest.raises(AttributeError):
+            c.depth = 4
 
     def test_child_order_is_fixed(self):
         kids = child_coords(CellCoord(0, 0, 0))

@@ -439,7 +439,7 @@ def test_fallback_for_every_sum_gives_the_certified_bits(monkeypatch):
     assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
     assert len(calls) == 2 * len(bodies)
     # Blocks whose sums are not all finite are summed again target by target.
-    monkeypatch.setattr(kernels, "_fsums", lambda owner, v, m: np.full(m, np.nan))
+    monkeypatch.setattr(kernels, "_fsums", lambda owner, v, m, **kw: np.full(m, np.nan))
     assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
 
 
@@ -493,5 +493,22 @@ def test_sums_of_finite_terms_that_overflow_name_their_target():
     for fn in (lambda: direct_fields(bodies, params), lambda: tree_fields(tree, params),
                lambda: tree_field_walk(tree, bodies[0].position, 7, params)):
         with pytest.raises(DynamicsError, match="the field at target 7 overflows") as err:
+            fn()
+        assert type(err.value) is DynamicsError
+
+
+def test_sums_that_overflow_only_in_depth_first_order_overflow_as_in_the_walk():
+    # Coulomb charges and a huge constant, at a probe in cell (1, 0, 0).  Its
+    # two near bodies give +1.2e308 each and come first depth-first, but at
+    # level 2 of the batched walk; the far cell (1, 1, 0) gives -1e308 and
+    # comes last depth-first, but at level 1.  In level order the x terms sum
+    # to a finite field; in the walk's order their fsum overflows.
+    bodies = [b(0, 0.85, 0.5, 0.768e8), b(1, 0.85, 0.5, 0.768e8), b(2, 1.1, 0.5, -1.1e8)]
+    tree = build_tree(bodies, AABB(Vec2(0.0, 0.0), Vec2(2.0, 2.0)), 2)
+    params = KernelParams(constant=1e300, theta=1.0, mode=MODE_COULOMB)
+    probe = Vec2(0.05, 0.5)
+    for fn in (lambda: tree_field_walk(tree, probe, -1, params),
+               lambda: tree_field(tree, probe, -1, params)):
+        with pytest.raises(DynamicsError, match="the field at target -1 overflows") as err:
             fn()
         assert type(err.value) is DynamicsError

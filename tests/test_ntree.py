@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -9,10 +10,11 @@ import numpy as np
 
 from orgtree import ntree
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box
-from orgtree.ntree import Body, build_tree, radius_hits
+from orgtree.ntree import Body, NTree, build_tree, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import (aggregates, build_reference, collect_bodies, dump_leaves,
-                     flatten_reference, linear_radius, rational_aggregates)
+                     flatten_reference, linear_radius, query_radius_walk,
+                     rational_aggregates)
 
 
 def b(i, x, y, charge=1.0, species=0):
@@ -95,6 +97,14 @@ def test_only_the_root_row_keeps_an_odd_root_box():
     for (depth, ix, iy), row in zip(tree.coords.T.tolist()[1:], tree.box[:4, 1:].T.tolist()):
         c = cell_box(ODD_BOX, CellCoord(depth, ix, iy))
         assert row == [c.lo.x, c.lo.y, c.hi.x, c.hi.y]
+
+
+def test_every_tree_field_is_set_by_the_build():
+    # No field is filled in later, so a built tree never changes.
+    assert all(f.init for f in dataclasses.fields(NTree))
+    tree, _ = uniform_tree(50, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.capacity = 2
 
 
 class TestBuildValidation:
@@ -338,7 +348,24 @@ def test_radius_hits_equal_query_radius_bodies_in_order(seed, capacity, sizes):
                 assert d == dx * dx + dy * dy
                 got[k].append(tree.bodies[tree.order[i]].id)
     assert ends[-1] == len(centers)
-    assert got == [tree.query_radius(c, rad) for c, rad in zip(centers, radii)]
+    walked = [query_radius_walk(tree, c, rad) for c, rad in zip(centers, radii)]
+    assert got == [[x.id for x in hits] for hits in walked]
+    assert [tree.query_radius_bodies(c, rad) for c, rad in zip(centers, radii)] == walked
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 300])
+def test_query_radius_bodies_equal_the_scalar_walk_at_the_edges(n):
+    # The empty tree, radius 0 on bodies and on split lines, centres off the
+    # box, and radii that cover the box.
+    tree, bodies = uniform_tree(n, seed=n, capacity=3)
+    centers = [x.position for x in bodies[:10]]
+    centers += [Vec2(0.5, 0.5), Vec2(0.25, 0.75), Vec2(-0.5, 0.5), Vec2(1.5, -2.0),
+                Vec2(1e300, 0.5), Vec2(0.5, -1e300)]
+    for c in centers:
+        for radius in (0.0, 1e-9, 0.125, 0.5, 2.0, 1e300, math.inf):
+            got = tree.query_radius_bodies(c, radius)
+            assert got == query_radius_walk(tree, c, radius)
+            assert tree.query_radius(c, radius) == [x.id for x in got]
 
 
 class TestDeterminism:
