@@ -15,16 +15,26 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
-tree_fields runs block-batched: blocks of targets walk the tree's rows
-(ntree.NTree) as one level-synchronous numpy frontier.  Every target keeps
-exactly the terms of its own depth-first walk, so the result equals that walk
-bit for bit at every theta, and scratch memory is bounded per block of
-~_BLOCK_TERMS terms.
+The tree sums walk the tree's rows (ntree.NTree) as level-synchronous numpy
+frontiers.  tree_field walks (target, row) pairs from the root.  tree_fields
+first walks each leaf's bodies as one group of targets (Barnes 1990): a
+(leaf, row) pair whose test comes out the same for every target of the leaf
+is settled once, and only the other pairs continue target by target.  The
+group tests bound each target's squared distance d2 by the same float
+operations applied to the edges of the bounding box of the leaf's body
+coordinates.  Rounding is monotone, so the bounds hold for every target bit
+for bit, with no margin: side^2 < theta^2 * (least d2) means every target
+takes the row as one term, and not side^2 < theta^2 * (greatest d2) means
+none does.  Every target therefore keeps exactly the terms of its own
+depth-first walk, and the result equals that walk bit for bit at every
+theta.  Scratch memory is bounded per chunk of leaves and per block of about
+_BLOCK_TERMS terms.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,60 +177,213 @@ def _fsums(owner: np.ndarray, v: np.ndarray, m: int, huge=math.fsum) -> np.ndarr
     return res
 
 
-@np.errstate(all="ignore")  # a zero denominator gives a non-finite term, raised below
+def _walk(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray, t: np.ndarray,
+          row: np.ndarray, th2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The far (target, row) pairs of the walks of targets t from rows row
+    down, each target's own body skipped: the one per-target traversal.
+
+    Pairs walk as one level-synchronous frontier.  A far pair ends there; any
+    other pair is replaced by the pairs of the row's children, which for a
+    leaf are its body rows.
+    """
+    ids = tree.id  # node rows have id -2
+    far_t, far_row = [t[:0]], [row[:0]]
+    while len(t):
+        far = _far(tree, tx[t], ty[t], row, th2)
+        emit = far & (ids[row] != tid[t])
+        far_t.append(t[emit])
+        far_row.append(row[emit])
+        t, row = _children(tree, t[~far], row[~far])
+    return np.concatenate(far_t), np.concatenate(far_row)
+
+
+def _children(tree: NTree, owner: np.ndarray, row: np.ndarray):
+    """(owner, child) for each child of each pair's row, pair by pair in
+    child order; a leaf's children are its body rows."""
+    n = tree.count[row]
+    owner = np.repeat(owner, n)
+    return owner, np.arange(len(owner)) + np.repeat(tree.first[row] - np.cumsum(n) + n, n)
+
+
+@np.errstate(all="ignore")  # NaN centers and zero distances fail the side test, as in the walk
+def _far(tree: NTree, x: np.ndarray, y: np.ndarray, row: np.ndarray, th2: float) -> np.ndarray:
+    """Whether the depth-first walk of a target at (x, y) takes row as one
+    term, with the walk's test and operations.  A body row has the sentinel
+    box, so it is never inside and passes the side test, as the walk sums a
+    leaf's bodies one by one.
+    """
+    lo_x, lo_y, hi_x, hi_y, side2 = tree.box  # taken a column at a time: less scratch
+    inside = lo_x.take(row, mode="clip") <= x
+    inside &= x <= hi_x.take(row, mode="clip")
+    inside &= lo_y.take(row, mode="clip") <= y
+    inside &= y <= hi_y.take(row, mode="clip")
+    d2 = np.square(tree.cx[row] - x)  # dx * dx + dy * dy
+    d2 += np.square(tree.cy[row] - y)
+    # s/d < theta without the square root: s^2 < theta^2 * d^2.  It fails for
+    # d = 0 and for the NaN center of a cancelled node; fmax turns the NaN of
+    # 0 * inf into 0, which a body row's side^2 of -1 still passes.
+    return ~inside & (side2.take(row, mode="clip") < np.fmax(th2 * d2, 0.0))
+
+
+@np.errstate(all="ignore")  # a zero denominator gives a non-finite term, raised by the caller
+def _terms(tree: NTree, tx: np.ndarray, ty: np.ndarray, t: np.ndarray, row: np.ndarray,
+           params: KernelParams) -> np.ndarray:
+    """The x terms, then the y terms, of far pairs (t, row), with the walk's
+    operations in the walk's order; numpy rounds them like Python and fuses
+    none."""
+    d = np.empty((2, len(t)))
+    np.subtract(tree.cx[row], tx[t], out=d[0])
+    np.subtract(tree.cy[row], ty[t], out=d[1])
+    r2 = d[0] * d[0] + d[1] * d[1] + params.softening * params.softening
+    d *= params.constant * tree.charge[row] / (r2 * np.sqrt(r2))
+    return d.reshape(-1)
+
+
+def _block_sums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
+    """_fsums of the x, then y, terms v of owners 0 .. m - 1: the m x sums,
+    then the m y sums.  A sum that is not finite, or whose |terms| total is
+    huge, is NaN: fsum's overflow would depend on the order of the terms.
+    """
+    try:
+        return _fsums(np.concatenate((owner, owner + m)), v, 2 * m, huge=lambda terms: math.nan)
+    except (ValueError, OverflowError):
+        return np.full(2 * m, np.nan)
+
+
 def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
             params: KernelParams) -> list[Vec2]:
-    """Fields at targets (tx, ty) with ids tid (-1 for none), in blocks sized
-    from the terms per target of the last block.
-
-    Each (target, row) pair decides and builds its term as its target's
-    depth-first walk does, with the same operations in the same order; numpy
-    rounds them like Python and fuses none.  _fsums sums them exactly rounded,
-    certified against an error bound with math.fsum as the fallback, so their
-    order does not matter.
+    """Fields at targets (tx, ty) with ids tid (-1 for none), each walked from
+    the root, in blocks sized from the terms per target of the last block.
+    A block whose sums are not all finite raises as the walk does, or is
+    summed in the walk's order.
     """
-    box, first, count = tree.box, tree.first, tree.count
-    cx, cy, charge, ids = tree.cx, tree.cy, tree.charge, tree.id  # node rows have id -2
-    eps2, th2 = params.softening * params.softening, params.theta * params.theta
+    th2 = params.theta * params.theta
     out: list[Vec2] = []
     size = 1
     while len(out) < len(tx):
         lo, hi = len(out), min(len(out) + size, len(tx))
-        t = np.arange(lo, hi if len(ids) else lo)
-        row = np.zeros(len(t), dtype=np.intp)
-        terms = [(t[:0], row[:0], np.zeros(0), np.zeros(0))]
-        while len(t):
-            x, y = tx[t], ty[t]
-            lo_x, lo_y, hi_x, hi_y, side2 = box.take(row, axis=1, mode="clip")
-            inside = (lo_x <= x) & (x <= hi_x) & (lo_y <= y) & (y <= hi_y)
-            dx, dy = cx[row] - x, cy[row] - y
-            d2 = dx * dx + dy * dy
-            # s/d < theta without the square root: s^2 < theta^2 * d^2.  It
-            # fails for d = 0 and for the NaN center of a cancelled node.
-            far = ~inside & (side2 < th2 * d2)
-            emit = far & (ids[row] != tid[t])
-            src = row[emit]
-            r2 = d2[emit] + eps2
-            w = params.constant * charge[src] / (r2 * np.sqrt(r2))
-            terms.append((t[emit], src, w * dx[emit], w * dy[emit]))
-            row = row[~far]
-            n = count[row]
-            t = np.repeat(t[~far], n)
-            row = np.arange(len(t)) + np.repeat(first[row] - np.cumsum(n) + n, n)
-        ts, rows, xs, ys = zip(*terms)
-        owner, m = np.concatenate(ts) - lo, hi - lo
-        try:  # a huge total's fsum depends on the term order: left to the depth-first sums
-            f = _fsums(np.concatenate((owner, owner + m)), np.concatenate(xs + ys), 2 * m,
-                       huge=lambda terms: math.nan)
-        except (ValueError, OverflowError):
-            f = np.full(2 * m, np.nan)
+        t = np.arange(lo, hi if len(tree.id) else lo)
+        t, row = _walk(tree, tx, ty, tid, t, np.zeros(len(t), dtype=np.intp), th2)
+        v = _terms(tree, tx, ty, t, row, params)
+        f = _block_sums(t - lo, v, hi - lo)
         if np.isfinite(f).all():
-            out.extend(map(Vec2, f[:m].tolist(), f[m:].tolist()))
+            out.extend(map(Vec2, f[:hi - lo].tolist(), f[hi - lo:].tolist()))
         else:  # as the walk does: raise for the lowest failing target, or sum depth-first
-            out.extend(_depth_first(tree, tid, lo, m, owner, *map(np.concatenate, (rows, xs, ys))))
-        size = _pow2(_BLOCK_TERMS * size / max(len(owner), 1))  # few sizes, as in radius_hits
-        del terms, ts, rows, xs, ys, owner, f  # free the block before the next block's walk
+            out.extend(_depth_first(tree, tid, lo, hi - lo, t - lo, row, v[:len(t)], v[len(t):]))
+        size = _pow2(_BLOCK_TERMS * size / max(len(t), 1))  # few sizes, as in radius_hits
+        del t, row, v, f  # free the block before the next block's walk
     return out
+
+
+def _group_walk(tree: NTree, bbox: np.ndarray, g: np.ndarray, th2: float):
+    """The settled-far and the unsettled (group, row) pairs of target groups
+    g, each as a (groups, rows) pair of arrays.
+
+    bbox[:, k] is the lo_x, lo_y, hi_x, hi_y of group k's targets.  The pairs
+    walk down from the root as _walk's do; a row settled open for a group is
+    replaced by its children.
+    """
+    row = np.zeros(len(g), dtype=np.intp)
+    far, unsettled = [(g[:0], row[:0])], [(g[:0], row[:0])]
+    while len(g):
+        far_all, far_none = _settled(tree, bbox.take(g, axis=1), row, th2)
+        rest = ~(far_all | far_none)
+        far.append((g[far_all], row[far_all]))
+        unsettled.append((g[rest], row[rest]))
+        g, row = _children(tree, g[far_none], row[far_none])
+    return [tuple(map(np.concatenate, zip(*pairs))) for pairs in (far, unsettled)]
+
+
+@np.errstate(all="ignore")  # a NaN bound settles nothing it should not
+def _settled(tree: NTree, bbox: np.ndarray, row: np.ndarray, th2: float):
+    """Whether _far holds for every target in the box bbox (lo_x, lo_y, hi_x,
+    hi_y per pair), and whether it holds for none.
+
+    Rounding is monotone, so a target's dx = cx - x lies between the dx of
+    the box's two x edges, and its dx * dx between the squares of the least
+    and the greatest |dx| there; the sum with dy * dy and the product with
+    th2 keep that order.  The bounds are therefore exact for every target,
+    with no margin.  A NaN center makes both bounds NaN, and fmax 0: open.
+    """
+    box = tree.box.take(row, axis=1, mode="clip")
+    lo, hi, side2 = box[:2], box[2:4], box[4]
+    b_lo, b_hi = bbox[:2], bbox[2:]
+    c = np.stack((tree.cx[row], tree.cy[row]))
+    near, away = c - b_hi, c - b_lo  # dx, dy of targets on the upper and on the lower edges
+    least = np.square(np.maximum(near, 0.0) + np.minimum(away, 0.0))
+    most = np.square(np.fmax(b_hi - c, away))  # b_hi - c is -near, exactly
+    out = (b_hi < lo) | (hi < b_lo)
+    far_all = out[0] | out[1]  # no target inside
+    far_all &= side2 < np.fmax(th2 * (least[0] + least[1]), 0.0)
+    within = (lo <= b_lo) & (b_hi <= hi)
+    far_none = within[0] & within[1]  # every target inside
+    far_none |= ~(side2 < np.fmax(th2 * (most[0] + most[1]), 0.0))
+    return far_all, far_none
+
+
+def _spread(g: np.ndarray, row: np.ndarray, start: np.ndarray, end: np.ndarray,
+            a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(target, row) for each target in a .. b-1 of each group pair (g, row);
+    group k's targets are start[k] .. end[k] - 1."""
+    ga, gb = bisect_right(start, a) - 1, bisect_right(start, b - 1) - 1  # the groups of a, b - 1
+    meets = (ga <= g) & (g <= gb)
+    g, row = g[meets], row[meets]
+    lo = np.maximum(start[g], a)
+    k = np.minimum(end[g], b) - lo
+    return np.arange(k.sum()) + np.repeat(lo - np.cumsum(k) + k, k), np.repeat(row, k)
+
+
+def _group_fields(tree: NTree, params: KernelParams) -> list[Vec2] | None:
+    """Fields at every tree body, in tree.bodies order, or None when the sums
+    of a block are not all finite.
+
+    Targets go in depth-first order, so each leaf's targets are a group of
+    consecutive targets.  Chunks of consecutive leaves walk as groups
+    (_group_walk); a chunk's unsettled pairs continue target by target
+    (_walk), and its far pairs are summed in blocks of targets sized like
+    _fields' blocks.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
+    """
+    first, cx, cy, ids = tree.first, tree.cx, tree.cy, tree.id
+    n = len(first) - 1
+    tx, ty, tid = cx[n:], cy[n:], ids[n:]
+    start = np.zeros(len(tx), dtype=bool)  # a mask, not np.sort: no sort code paged in
+    start[first[np.flatnonzero(first[:n] >= n)] - n] = True  # each leaf's first target
+    start = np.flatnonzero(start)
+    end = np.append(start[1:], len(tx))
+    bbox = np.stack([np.minimum.reduceat(tx, start), np.minimum.reduceat(ty, start),
+                     np.maximum.reduceat(tx, start), np.maximum.reduceat(ty, start)])
+    th2 = params.theta * params.theta
+    out = np.empty((2, len(tx)))  # x and y fields in input order
+    g0, chunk, size = 0, 1, 1
+    while g0 < len(start):
+        g1 = min(g0 + chunk, len(start))
+        a, stop = start[g0], end[g1 - 1]
+        far, unsettled = _group_walk(tree, bbox, np.arange(g0, g1), th2)
+        wt, wrow = _walk(tree, tx, ty, tid, *_spread(*unsettled, start, end, a, stop), th2)
+        chunk = _pow2(_BLOCK_TERMS * (g1 - g0) / max(len(far[0]), 1))
+        while a < stop:
+            b = min(a + size, stop)
+            t, row = _spread(*far, start, end, a, b)
+            keep = row != n + t  # each target skips its own body row
+            walked = (a <= wt) & (wt < b)
+            t = np.concatenate((t[keep], wt[walked]))
+            row = np.concatenate((row[keep], wrow[walked]))
+            m, terms = b - a, len(t)
+            v = _terms(tree, tx, ty, t, row, params)
+            del row  # the sums are the sweep's peak: hold nothing they do not need
+            t -= a
+            f = _block_sums(t, v, m)
+            del t, v
+            if not np.isfinite(f).all():
+                return None
+            out[:, tree.order[a:b]] = f.reshape(2, m)
+            size = _pow2(_BLOCK_TERMS * m / max(terms, 1))
+            a = b
+        g0 = g1
+    # Made in input order, the list's Vec2s lie in memory in list order; made
+    # depth-first, they lie scattered, and a full garbage collection over
+    # them took about 15% longer.
+    return list(map(Vec2, out[0].tolist(), out[1].tolist()))
 
 
 def _depth_first(tree: NTree, tid: np.ndarray, lo: int, m: int, owner: np.ndarray,
@@ -255,7 +418,18 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
-    """Tree-accelerated field at every tree body, in tree.bodies order."""
-    rows = np.empty_like(tree.order)  # the body rows in input order
-    rows[tree.order] = np.arange(len(tree.first) - 1, len(tree.id))
-    return _fields(tree, tree.cx[rows], tree.cy[rows], tree.id[rows], params)
+    """Tree-accelerated field at every tree body, in tree.bodies order.
+
+    Equal bit for bit to tree_field at each body, and so to the depth-first
+    walk, at every theta.  The walk runs once per leaf for the leaf's
+    targets as a group; only the rows that group cannot settle are walked
+    target by target.  When some sum is not finite, every target is walked
+    from the root in input order, which raises for the lowest input index as
+    a loop over tree_field would.
+    """
+    out = _group_fields(tree, params)
+    if out is None:
+        rows = np.empty_like(tree.order)  # the body rows in input order
+        rows[tree.order] = np.arange(len(tree.first) - 1, len(tree.id))
+        out = _fields(tree, tree.cx[rows], tree.cy[rows], tree.id[rows], params)
+    return out

@@ -154,6 +154,22 @@ def render_offline(trace_path: str | Path, step: int) -> str:
         return render_svg(tree, orgs)
 
 
+def _rms(fields: list[Vec2]) -> float:
+    """Root-mean-square magnitude of the fields.  When the sum of squares
+    overflows, or is so small that subnormal squares may have lost bits, the
+    fields are first scaled by an exact power of two, 2^-k for the largest
+    binary exponent k among their components.  Above 2^-960 a square lost to
+    underflow is below 2^-114 of the sum, so the plain formula stands there.
+    """
+    k = 0
+    total = math.fsum(f.x * f.x + f.y * f.y for f in fields)
+    if total < 2.0 ** -960 or math.isinf(total):
+        k = max(math.frexp(c)[1] for f in fields for c in (f.x, f.y))
+        scaled = [(math.ldexp(f.x, -k), math.ldexp(f.y, -k)) for f in fields]
+        total = math.fsum(x * x + y * y for x, y in scaled)
+    return math.ldexp(math.sqrt(total / len(fields)), k)
+
+
 def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:
     """Evaluate direct and tree fields for a placed scene and write field.jsonl.
 
@@ -192,8 +208,7 @@ def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:
     accel = tree_fields(tree, params)
     t2 = time.perf_counter()
 
-    scale = math.sqrt(
-        math.fsum(d.x * d.x + d.y * d.y for d in direct) / len(direct))
+    scale = _rms(direct)
     if scale == 0.0:
         raise ConfigError("direct field vanished everywhere; cannot scale errors")
     errors = []

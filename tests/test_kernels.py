@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,3 +513,111 @@ def test_sums_that_overflow_only_in_depth_first_order_overflow_as_in_the_walk():
         with pytest.raises(DynamicsError, match="the field at target -1 overflows") as err:
             fn()
         assert type(err.value) is DynamicsError
+
+
+def group_scene(rng, kind, capacity):
+    """Bodies, root box, max_depth, softening and mode of a scene whose bodies
+    sit where the group tests of tree_fields are tight."""
+    box, max_depth, softening, mode = UNIT_BOX, 24, 0.0, MODE_GRAVITY
+    charges = [1.0, 2.0]
+    if kind == "dyadic":  # on split lines and leaf edges, the box's edges included
+        spots = sorted({(rng.randrange(17) / 16, rng.randrange(17) / 16)
+                        for _ in range(rng.randrange(2, 90))})
+    elif kind == "lattice":  # centers of charge at dyadic points: s^2 == th2 * d^2 ties
+        k = rng.choice([4, 8, 16])
+        spots = [(i / k, j / k) for i in range(k + 1) for j in range(k + 1)]
+    elif kind == "edges":  # the cells' upper edges round below the box's: bodies on it
+        box = AABB(Vec2(0.2, -0.3), Vec2(0.9, 0.4))  # lie outside their leaf's box
+        spots = [(rng.choice([0.9, 0.2 + 0.7 * rng.random()]),
+                  rng.choice([0.4, -0.3 + 0.7 * rng.random()]))
+                 for _ in range(rng.randrange(2, 90))]
+    elif kind == "overfull":  # leaves at max_depth hold more than capacity, piles coincide
+        max_depth, softening = rng.randrange(0, 4), 1e-3
+        x, y = rng.random(), rng.random()
+        spots = [(rng.random(), rng.random()) for _ in range(rng.randrange(2, 60))]
+        spots += [(x, y)] * (capacity + 2)
+    elif kind == "cancel":  # +-q pairs: cells whose charges cancel have NaN centers
+        mode = MODE_COULOMB
+        spots = [(x + 1e-7 * k, y) for x, y in ((rng.random(), rng.random())
+                                                 for _ in range(rng.randrange(1, 40)))
+                 for k in (0, 1)]
+    else:  # "line": signed charges on y = 1/2, softened: every y term is a zero
+        mode, softening, charges = MODE_COULOMB, 1e-3, [-1.0, -2.0]
+        spots = [((i + rng.random()) / 64, 0.5) for i in range(rng.randrange(2, 64))]
+    qs = [rng.choice(charges) for _ in spots]
+    if kind == "cancel":
+        qs = [q * sign for q in qs[::2] for sign in (1.0, -1.0)]
+    elif kind == "line":
+        qs[rng.randrange(len(qs))] = 1.0
+    bodies = [b(i, x, y, q) for i, ((x, y), q) in enumerate(zip(spots, qs))]
+    rng.shuffle(bodies)
+    return bodies, box, max_depth, softening, mode
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from(["dyadic", "lattice", "edges", "overfull", "cancel", "line"]),
+       st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0]), st.sampled_from([1, 3, 10]))
+@example(0, "lattice", 0.5, 1)  # s^2 == th2 * d^2 for single-body leaves
+@example(28, "edges", 2.0, 3)  # a leaf takes its own monopole for a body off its box
+def test_group_walk_equals_the_scalar_walk_bitwise(seed, kind, theta, capacity):
+    bodies, box, max_depth, softening, mode = group_scene(random.Random(seed), kind, capacity)
+    tree = build_tree(bodies, box, capacity, max_depth)
+    params = KernelParams(softening=softening, theta=theta, mode=mode)
+    walked = [outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+              for x in tree.bodies]
+    singular = [w for w in walked if w[0] == "singular"]
+    got = outcome(lambda: tree_fields(tree, params)[0])
+    assert got == (singular[0] if singular else walked[0])
+    if not singular:
+        assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == walked
+        grouped = kernels._group_fields(tree, params)  # with no per-target fallback
+        assert [(v.x.hex(), v.y.hex()) for v in grouped] == walked
+
+
+def test_the_lowest_input_index_raises_when_depth_first_order_is_reversed():
+    # Two coincident pairs: one in the upper-right quadrant, listed first, and
+    # one in the lower-left quadrant, which comes first depth-first.
+    rng = random.Random(12)
+    bodies = [b(10, 0.8, 0.8), b(11, 0.8, 0.8)]
+    bodies += [b(20 + i, rng.random(), rng.random()) for i in range(60)]
+    bodies += [b(90, 0.1, 0.1), b(91, 0.1, 0.1)]
+    tree = build_tree(bodies, UNIT_BOX, capacity=3)
+    n = len(tree.first) - 1
+    depth_first = tree.id[n:].tolist()
+    assert depth_first.index(90) < depth_first.index(10)
+    for theta in (0.0, 0.5, 1.0):
+        params = KernelParams(theta=theta)
+        with pytest.raises(SingularPairError) as err:
+            tree_fields(tree, params)
+        with pytest.raises(SingularPairError) as first:
+            tree_field(tree, bodies[0].position, bodies[0].id, params)
+        assert err.value.pair == first.value.pair == (11, 10)
+        assert str(err.value) == str(first.value)
+
+
+def test_bodies_too_far_apart_for_a_finite_distance_sum_as_the_walk_does():
+    # dx * dx overflows to inf, so th2 * d2 is 0 * inf = NaN at theta 0; a body
+    # row still takes its term, which is 0: q / inf.
+    bodies = [b(0, 0.0, 0.0), b(1, 1e200, 1e200), b(2, 3e199, 1e200)]
+    tree = build_tree(bodies, AABB(Vec2(0.0, 0.0), Vec2(1e200, 1e200)), 1)
+    for theta in (0.0, 0.5):
+        params = KernelParams(theta=theta)
+        want = [outcome(lambda: tree_field_walk(tree, x.position, x.id, params)) for x in bodies]
+        assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == want
+        assert [outcome(lambda: tree_field(tree, x.position, x.id, params))
+                for x in bodies] == want
+
+
+def test_scratch_memory_stays_a_fraction_of_the_sweeps_terms():
+    # About 182 terms per target at theta 0.5: 1.46M terms, 32 bytes each with their
+    # target and source, for the whole sweep.
+    tree, _ = uniform_tree(8000, seed=3)
+    params = KernelParams(theta=0.5)
+    tracemalloc.start()
+    try:
+        tree_fields(tree, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 182 * 8000 * 32 / 8

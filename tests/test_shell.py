@@ -349,6 +349,24 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["summary"]["n"] == 40
 
+    def test_field_errors_keep_their_bits_for_huge_and_tiny_constants(self, tmp_path):
+        # At 2**530 the squared fields overflow, at 2**-550 they are subnormal
+        # and at 2**-560 they underflow, which once made every error 0, off by
+        # a factor, or failed the command.  Power-of-two constants scale every
+        # field exactly, so every error is unchanged.
+        data = json.loads((CONFIG_DIR / "field_1000.json").read_text(encoding="utf-8"))
+        data["species"][0]["count"] = 60
+        errors = {}
+        for constant in (1.0, 2.0 ** 530, 2.0 ** -550, 2.0 ** -560):
+            data["kernels"]["constant"] = constant
+            out = tmp_path / str(constant)
+            assert main(["field", "--config", str(write_config(tmp_path, data)),
+                         "--out", str(out)]) == 0
+            lines = (out / "field.jsonl").read_text(encoding="utf-8").splitlines()
+            errors[constant] = [json.loads(line)["rel_error"] for line in lines[:-1]]
+        assert len(errors[1.0]) == 60 and max(errors[1.0]) > 0.0
+        assert errors[2.0 ** 530] == errors[1.0] == errors[2.0 ** -550] == errors[2.0 ** -560]
+
     def test_seed_override_lands_in_the_header(self, tmp_path):
         cfg_path = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "o"
