@@ -80,15 +80,17 @@ def cell_box(root: AABB, c: CellCoord) -> AABB:
 
     Computed as root.lo + index * (side / 2**depth).  Because halving a float
     is exact, sibling boxes meet bitwise at their shared edges and the four
-    children of any cell tile their parent exactly.
+    children of any cell tile their parent exactly.  An edge on the root's
+    border is the root's own: root.lo + side may round off root.hi, and
+    0 * side is NaN for an infinite side.
     """
     n = 1 << c.depth
     w = root.width / n
     h = root.height / n
-    x0 = root.lo.x
-    y0 = root.lo.y
-    return AABB(Vec2(x0 + c.ix * w, y0 + c.iy * h),
-                Vec2(x0 + (c.ix + 1) * w, y0 + (c.iy + 1) * h))
+    lo, hi = root.lo, root.hi
+    return AABB(Vec2(lo.x + c.ix * w if c.ix else lo.x, lo.y + c.iy * h if c.iy else lo.y),
+                Vec2(lo.x + (c.ix + 1) * w if c.ix + 1 < n else hi.x,
+                     lo.y + (c.iy + 1) * h if c.iy + 1 < n else hi.y))
 
 
 def cells_touch(a: CellCoord, b: CellCoord) -> bool:

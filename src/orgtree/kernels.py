@@ -16,19 +16,19 @@ the tree visits every body individually, the tree result equals the direct
 result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
 The tree sums walk the tree's rows (ntree.NTree) as level-synchronous numpy
-frontiers.  tree_field walks (target, row) pairs from the root.  tree_fields
-first walks each leaf's bodies as one group of targets (Barnes 1990): a
-(leaf, row) pair whose test comes out the same for every target of the leaf
-is settled once, and only the other pairs continue target by target.  The
-group tests bound each target's squared distance d2 by the same float
-operations applied to the edges of the bounding box of the leaf's body
-coordinates.  Rounding is monotone, so the bounds hold for every target bit
-for bit, with no margin: side^2 < theta^2 * (least d2) means every target
-takes the row as one term, and not side^2 < theta^2 * (greatest d2) means
-none does.  Every target therefore keeps exactly the terms of its own
-depth-first walk, and the result equals that walk bit for bit at every
-theta.  Scratch memory is bounded per chunk of leaves and per block of about
-_BLOCK_TERMS terms.
+frontiers, in one sweep (_group_fields) over groups of targets (Barnes 1990):
+tree_fields makes each leaf's bodies a group, tree_field its point a group of
+one.  A (group, row) pair whose test comes out the same for every target of
+the group is settled once, and only the other pairs continue target by
+target.  The group tests bound each target's squared distance d2 by the same
+float operations applied to the edges of the bounding box of the group's
+targets.  Rounding is monotone, so the bounds hold for every target bit for
+bit, with no margin: side^2 < theta^2 * (least d2) means every target takes
+the row as one term, and not side^2 < theta^2 * (greatest d2) means none
+does.  Every target therefore keeps exactly the terms of its own depth-first
+walk, and the result equals that walk bit for bit at every theta.  Scratch
+memory is bounded per chunk of groups and per block of about _BLOCK_TERMS
+terms.
 """
 
 from __future__ import annotations
@@ -250,31 +250,6 @@ def _block_sums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
         return np.full(2 * m, np.nan)
 
 
-def _fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
-            params: KernelParams) -> list[Vec2]:
-    """Fields at targets (tx, ty) with ids tid (-1 for none), each walked from
-    the root, in blocks sized from the terms per target of the last block.
-    A block whose sums are not all finite raises as the walk does, or is
-    summed in the walk's order.
-    """
-    th2 = params.theta * params.theta
-    out: list[Vec2] = []
-    size = 1
-    while len(out) < len(tx):
-        lo, hi = len(out), min(len(out) + size, len(tx))
-        t = np.arange(lo, hi if len(tree.id) else lo)
-        t, row = _walk(tree, tx, ty, tid, t, np.zeros(len(t), dtype=np.intp), th2)
-        v = _terms(tree, tx, ty, t, row, params)
-        f = _block_sums(t - lo, v, hi - lo)
-        if np.isfinite(f).all():
-            out.extend(map(Vec2, f[:hi - lo].tolist(), f[hi - lo:].tolist()))
-        else:  # as the walk does: raise for the lowest failing target, or sum depth-first
-            out.extend(_depth_first(tree, tid, lo, hi - lo, t - lo, row, v[:len(t)], v[len(t):]))
-        size = _pow2(_BLOCK_TERMS * size / max(len(t), 1))  # few sizes, as in radius_hits
-        del t, row, v, f  # free the block before the next block's walk
-    return out
-
-
 def _group_walk(tree: NTree, bbox: np.ndarray, g: np.ndarray, th2: float):
     """The settled-far and the unsettled (group, row) pairs of target groups
     g, each as a (groups, rows) pair of arrays.
@@ -333,38 +308,33 @@ def _spread(g: np.ndarray, row: np.ndarray, start: np.ndarray, end: np.ndarray,
     return np.arange(k.sum()) + np.repeat(lo - np.cumsum(k) + k, k), np.repeat(row, k)
 
 
-def _group_fields(tree: NTree, params: KernelParams) -> list[Vec2] | None:
-    """Fields at every tree body, in tree.bodies order, or None when the sums
-    of a block are not all finite.
+def _group_fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
+                  start: np.ndarray, params: KernelParams) -> np.ndarray:
+    """The x fields, then the y fields, at targets (tx, ty) with ids tid (-1
+    for none), NaN where _block_sums gives NaN: the one field sweep.
 
-    Targets go in depth-first order, so each leaf's targets are a group of
-    consecutive targets.  Chunks of consecutive leaves walk as groups
-    (_group_walk); a chunk's unsettled pairs continue target by target
-    (_walk), and its far pairs are summed in blocks of targets sized like
-    _fields' blocks.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
+    Group k is targets start[k] .. start[k + 1] - 1, the last group running
+    to the end.  Chunks of consecutive groups walk as groups (_group_walk); a
+    chunk's unsettled pairs continue target by target (_walk), and its far
+    pairs are summed in blocks of targets sized from the terms per target of
+    the last block.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
     """
-    first, cx, cy, ids = tree.first, tree.cx, tree.cy, tree.id
-    n = len(first) - 1
-    tx, ty, tid = cx[n:], cy[n:], ids[n:]
-    start = np.zeros(len(tx), dtype=bool)  # a mask, not np.sort: no sort code paged in
-    start[first[np.flatnonzero(first[:n] >= n)] - n] = True  # each leaf's first target
-    start = np.flatnonzero(start)
     end = np.append(start[1:], len(tx))
     bbox = np.stack([np.minimum.reduceat(tx, start), np.minimum.reduceat(ty, start),
                      np.maximum.reduceat(tx, start), np.maximum.reduceat(ty, start)])
     th2 = params.theta * params.theta
-    out = np.empty((2, len(tx)))  # x and y fields in input order
+    out = np.empty((2, len(tx)))
     g0, chunk, size = 0, 1, 1
     while g0 < len(start):
         g1 = min(g0 + chunk, len(start))
         a, stop = start[g0], end[g1 - 1]
-        far, unsettled = _group_walk(tree, bbox, np.arange(g0, g1), th2)
+        far, unsettled = _group_walk(tree, bbox, np.arange(g0, g1 if len(tree.id) else g0), th2)
         wt, wrow = _walk(tree, tx, ty, tid, *_spread(*unsettled, start, end, a, stop), th2)
         chunk = _pow2(_BLOCK_TERMS * (g1 - g0) / max(len(far[0]), 1))
         while a < stop:
             b = min(a + size, stop)
             t, row = _spread(*far, start, end, a, b)
-            keep = row != n + t  # each target skips its own body row
+            keep = tree.id[row] != tid[t]  # each target skips its own body
             walked = (a <= wt) & (wt < b)
             t = np.concatenate((t[keep], wt[walked]))
             row = np.concatenate((row[keep], wrow[walked]))
@@ -372,35 +342,25 @@ def _group_fields(tree: NTree, params: KernelParams) -> list[Vec2] | None:
             v = _terms(tree, tx, ty, t, row, params)
             del row  # the sums are the sweep's peak: hold nothing they do not need
             t -= a
-            f = _block_sums(t, v, m)
+            out[:, a:b] = _block_sums(t, v, m).reshape(2, m)
             del t, v
-            if not np.isfinite(f).all():
-                return None
-            out[:, tree.order[a:b]] = f.reshape(2, m)
-            size = _pow2(_BLOCK_TERMS * m / max(terms, 1))
+            size = _pow2(_BLOCK_TERMS * m / max(terms, 1))  # few sizes, as in radius_hits
             a = b
         g0 = g1
-    # Made in input order, the list's Vec2s lie in memory in list order; made
-    # depth-first, they lie scattered, and a full garbage collection over
-    # them took about 15% longer.
-    return list(map(Vec2, out[0].tolist(), out[1].tolist()))
+    return out
 
 
-def _depth_first(tree: NTree, tid: np.ndarray, lo: int, m: int, owner: np.ndarray,
-                 row: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Vec2]:
-    """_summed for targets lo .. lo + m - 1 in turn, over their terms in
-    depth-first order, as the walk sums them.
+def _depth_first(tree: NTree, target_id: int, row: np.ndarray, xs: np.ndarray,
+                 ys: np.ndarray) -> Vec2:
+    """_summed over one target's terms, of far rows row, in depth-first
+    order, as the walk sums them.
     """
     key, nodes = row.copy(), len(tree.first) - 1
     while (inner := key < nodes).any():
         key[inner] = tree.first[key[inner]]  # a row's first body row: its place depth-first
-    out = []
-    for k in range(m):
-        e = np.flatnonzero(owner == k)
-        e = e[np.argsort(key[e])].tolist()
-        sources = [int(tree.id[r]) if r >= nodes else tree.coords[:, r].tolist() for r in row[e]]
-        out.append(_summed(xs[e].tolist(), ys[e].tolist(), int(tid[lo + k]), sources, len(e)))
-    return out
+    e = np.argsort(key)
+    sources = [int(tree.id[r]) if r >= nodes else tree.coords[:, r].tolist() for r in row[e]]
+    return _summed(xs[e].tolist(), ys[e].tolist(), target_id, sources, len(e))
 
 
 def tree_field(tree: NTree, target: Vec2, target_id: int,
@@ -412,24 +372,38 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
     by body, skipping target_id.  A node whose charges cancel has no center
     and always opens, as does one whose box holds the target: with signed
     charges its far-off center could pass the test and fold in the target.
+    The point walks as a group of one, which settles every pair.  A sum that
+    is not finite raises as the walk does, or is summed in the walk's order.
     """
-    return _fields(tree, np.array([target.x]), np.array([target.y]),
-                   np.array([max(target_id, -1)]), params)[0]
+    tx, ty, tid = np.array([target.x]), np.array([target.y]), np.array([max(target_id, -1)])
+    zero = np.zeros(1, dtype=np.intp)  # the group's start, the target and the root row
+    f = _group_fields(tree, tx, ty, tid, zero, params)
+    if np.isnan(f).any():
+        t, row = _walk(tree, tx, ty, tid, zero, zero, params.theta * params.theta)
+        v = _terms(tree, tx, ty, t, row, params)
+        return _depth_first(tree, int(tid[0]), row, v[:len(t)], v[len(t):])
+    return Vec2(*f[:, 0].tolist())
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     """Tree-accelerated field at every tree body, in tree.bodies order.
 
     Equal bit for bit to tree_field at each body, and so to the depth-first
-    walk, at every theta.  The walk runs once per leaf for the leaf's
-    targets as a group; only the rows that group cannot settle are walked
-    target by target.  When some sum is not finite, every target is walked
-    from the root in input order, which raises for the lowest input index as
-    a loop over tree_field would.
+    walk, at every theta.  The bodies go depth-first, each leaf's bodies one
+    group of targets, so only the rows a leaf cannot settle are walked target
+    by target.  A target whose sum comes back NaN is redone by tree_field,
+    lowest input index first, which raises as a loop over tree_field would.
     """
-    out = _group_fields(tree, params)
-    if out is None:
-        rows = np.empty_like(tree.order)  # the body rows in input order
-        rows[tree.order] = np.arange(len(tree.first) - 1, len(tree.id))
-        out = _fields(tree, tree.cx[rows], tree.cy[rows], tree.id[rows], params)
+    first, n = tree.first, len(tree.first) - 1
+    start = np.zeros(len(tree.bodies), dtype=bool)  # a mask, not np.sort: no sort code paged in
+    start[first[np.flatnonzero(first[:n] >= n)] - n] = True  # each leaf's first body
+    f = np.empty((2, len(tree.bodies)))  # in input order
+    f[:, tree.order] = _group_fields(tree, tree.cx[n:], tree.cy[n:], tree.id[n:],
+                                     np.flatnonzero(start), params)
+    # Made in input order, the list's Vec2s lie in memory in list order; made
+    # depth-first, they lie scattered, and a full garbage collection over
+    # them took about 15% longer.
+    out = list(map(Vec2, f[0].tolist(), f[1].tolist()))
+    for k in np.flatnonzero(np.isnan(f).any(axis=0)).tolist():
+        out[k] = tree_field(tree, tree.bodies[k].position, tree.bodies[k].id, params)
     return out

@@ -263,9 +263,10 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
 
     box = np.empty((5, n + 1))
     box[:, n] = (math.inf, math.inf, -math.inf, -math.inf, -1.0)
-    w, h = root_box.width / (1 << depth), root_box.height / (1 << depth)
-    box[:4, :n] = lo.x + ix * w, lo.y + iy * h, lo.x + (ix + 1) * w, lo.y + (iy + 1) * h
-    box[:4, :min(n, 1)] = [[lo.x], [lo.y], [hi.x], [hi.y]]  # the root keeps root_box
+    w, h, last = root_box.width / (1 << depth), root_box.height / (1 << depth), (1 << depth) - 1
+    box[:4, :n] = (np.where(ix > 0, lo.x + ix * w, lo.x), np.where(iy > 0, lo.y + iy * h, lo.y),
+                   np.where(ix < last, lo.x + (ix + 1) * w, hi.x),
+                   np.where(iy < last, lo.y + (iy + 1) * h, hi.y))  # as cell_box takes them
     side = np.maximum(box[2, :n] - box[0, :n], box[3, :n] - box[1, :n])
     box[4, :n] = side * side
 

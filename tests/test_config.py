@@ -250,7 +250,7 @@ def _mutated(data, *mutations):
 
 
 def _alarm(signum, frame):
-    raise TimeoutError(f"simulate ran over {FUZZ_SECONDS} s")
+    raise TimeoutError(f"a fuzz case ran over {FUZZ_SECONDS} s")
 
 
 @pytest.mark.parametrize("name", ["three_species", "two_flocks", "field_1000"])
@@ -270,6 +270,29 @@ def test_mutated_committed_configs_exit_with_a_documented_code(tmp_path, capsys,
             signal.alarm(0)
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), mutations
+            assert (err == "") if code == 0 else (err.count("\n") == 1), (mutations, err)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_mutated_field_kernels_and_charge_exit_with_a_documented_code(tmp_path, capsys):
+    base = json.loads((CONFIG_DIR / "field_1000.json").read_text(encoding="utf-8"))
+    base["species"][0]["count"] = 60
+    singles = [(path, v) for path, v in _mutations(base)
+               if path[0] == "kernels" or path == ("species", 0, "charge")]
+    rng = random.Random(2010)
+    cases = [(m,) for m in singles] + [tuple(rng.sample(singles, 2)) for _ in range(20)]
+    cfg_path = tmp_path / "config.json"
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for mutations in cases:
+            cfg_path.write_text(json.dumps(_mutated(base, *mutations)), encoding="utf-8")
+            signal.alarm(FUZZ_SECONDS)
+            code = main(["field", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+            signal.alarm(0)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), mutations
             assert (err == "") if code == 0 else (err.count("\n") == 1), (mutations, err)
     finally:
         signal.alarm(0)

@@ -444,6 +444,26 @@ def test_fallback_for_every_sum_gives_the_certified_bits(monkeypatch):
     assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
 
 
+def test_only_the_targets_whose_sums_come_back_nan_are_redone(monkeypatch):
+    tree, bodies = uniform_tree(300, seed=8, capacity=4)
+    params = KernelParams(theta=0.5)
+    certified = [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)]
+    fsums, field, redone = kernels._fsums, kernels.tree_field, []
+
+    def negative_x_sums_are_nan(owner, v, m, **kw):  # the x sums come first
+        res = fsums(owner, v, m, **kw)
+        res[:m // 2][res[:m // 2] < 0.0] = np.nan
+        return res
+
+    monkeypatch.setattr(kernels, "_fsums", negative_x_sums_are_nan)
+    monkeypatch.setattr(kernels, "tree_field", lambda tree, target, target_id, params: (
+        redone.append(target_id) or field(tree, target, target_id, params)))
+    assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
+    want = [x.id for x, (fx, _) in zip(bodies, certified) if float.fromhex(fx) < 0.0]
+    assert redone == want
+    assert 0 < len(want) < len(bodies)
+
+
 def error_outcome(fn):
     """A field's exact bits, or the error's type, pair and what it names."""
     try:
@@ -515,6 +535,18 @@ def test_sums_that_overflow_only_in_depth_first_order_overflow_as_in_the_walk():
         assert type(err.value) is DynamicsError
 
 
+def test_a_body_on_the_upper_edge_of_an_odd_box_keeps_its_charge_out_of_its_field():
+    # The cells' upper edges used to round to 0.8999999999999999, so body 0
+    # lay outside its own cell, which theta 2 then took as one far term.
+    box = AABB(Vec2(0.2, -0.3), Vec2(0.9, 0.4))
+    spots = [(0.9, 0.1), (0.56, 0.39), (0.25, -0.25), (0.3, -0.2), (0.21, -0.29)]
+    bodies = [b(i, x, y) for i, (x, y) in enumerate(spots)]
+    params = KernelParams(theta=2.0)
+    got = tree_fields(build_tree(bodies, box, capacity=3), params)[0]
+    want = direct_field(bodies, 0, params)
+    assert math.hypot(got.x - want.x, got.y - want.y) < 0.05 * math.hypot(want.x, want.y)
+
+
 def group_scene(rng, kind, capacity):
     """Bodies, root box, max_depth, softening and mode of a scene whose bodies
     sit where the group tests of tree_fields are tight."""
@@ -526,8 +558,8 @@ def group_scene(rng, kind, capacity):
     elif kind == "lattice":  # centers of charge at dyadic points: s^2 == th2 * d^2 ties
         k = rng.choice([4, 8, 16])
         spots = [(i / k, j / k) for i in range(k + 1) for j in range(k + 1)]
-    elif kind == "edges":  # the cells' upper edges round below the box's: bodies on it
-        box = AABB(Vec2(0.2, -0.3), Vec2(0.9, 0.4))  # lie outside their leaf's box
+    elif kind == "edges":  # bodies on upper edges that lo + 2**d * w would round below
+        box = AABB(Vec2(0.2, -0.3), Vec2(0.9, 0.4))
         spots = [(rng.choice([0.9, 0.2 + 0.7 * rng.random()]),
                   rng.choice([0.4, -0.3 + 0.7 * rng.random()]))
                  for _ in range(rng.randrange(2, 90))]
@@ -559,7 +591,7 @@ def group_scene(rng, kind, capacity):
        st.sampled_from(["dyadic", "lattice", "edges", "overfull", "cancel", "line"]),
        st.sampled_from([0.0, 0.3, 0.5, 1.0, 2.0]), st.sampled_from([1, 3, 10]))
 @example(0, "lattice", 0.5, 1)  # s^2 == th2 * d^2 for single-body leaves
-@example(28, "edges", 2.0, 3)  # a leaf takes its own monopole for a body off its box
+@example(28, "edges", 2.0, 3)  # a body on the box's upper edge at theta 2
 def test_group_walk_equals_the_scalar_walk_bitwise(seed, kind, theta, capacity):
     bodies, box, max_depth, softening, mode = group_scene(random.Random(seed), kind, capacity)
     tree = build_tree(bodies, box, capacity, max_depth)
@@ -571,8 +603,10 @@ def test_group_walk_equals_the_scalar_walk_bitwise(seed, kind, theta, capacity):
     assert got == (singular[0] if singular else walked[0])
     if not singular:
         assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == walked
-        grouped = kernels._group_fields(tree, params)  # with no per-target fallback
-        assert [(v.x.hex(), v.y.hex()) for v in grouped] == walked
+        n = len(tree.first) - 1  # each leaf's bodies one group, with no per-target fallback
+        start = np.flatnonzero(np.isin(np.arange(len(bodies)) + n, tree.first[:n]))
+        grouped = kernels._group_fields(tree, tree.cx[n:], tree.cy[n:], tree.id[n:], start, params)
+        assert [(x.hex(), y.hex()) for x, y in grouped.T[np.argsort(tree.order)].tolist()] == walked
 
 
 def test_the_lowest_input_index_raises_when_depth_first_order_is_reversed():

@@ -21,7 +21,8 @@ def b(i, x, y, charge=1.0, species=0):
     return Body(i, species, Vec2(float(x), float(y)), Vec2(0.0, 0.0), charge)
 
 
-# lo + (hi - lo) != hi on both axes, so cell_box of the root is not the root box.
+# lo + (hi - lo) != hi on both axes: the last cells' upper edges, computed as
+# lo + 2**depth * (hi - lo) / 2**depth, would round off the root's hi.
 ODD_BOX = AABB(Vec2(-8.3, -0.7), Vec2(24.1, 0.1))
 
 
@@ -90,13 +91,40 @@ def test_build_equals_the_recursive_reference(seed, n, capacity, max_depth, box)
     assert_same_node(tree.root, root)
 
 
-def test_only_the_root_row_keeps_an_odd_root_box():
+def test_every_row_is_its_cell_box_and_last_edges_are_the_roots():
     tree = build_tree(scene(5, 40, ODD_BOX), ODD_BOX, 1)
-    assert cell_box(ODD_BOX, CellCoord(0, 0, 0)).hi != ODD_BOX.hi
-    assert tuple(tree.box[:4, 0]) == (ODD_BOX.lo.x, ODD_BOX.lo.y, ODD_BOX.hi.x, ODD_BOX.hi.y)
-    for (depth, ix, iy), row in zip(tree.coords.T.tolist()[1:], tree.box[:4, 1:].T.tolist()):
+    assert ODD_BOX.lo.x + ODD_BOX.width != ODD_BOX.hi.x
+    assert ODD_BOX.lo.y + ODD_BOX.height != ODD_BOX.hi.y
+    last = []
+    for (depth, ix, iy), row in zip(tree.coords.T.tolist(), tree.box[:4].T.tolist()):
         c = cell_box(ODD_BOX, CellCoord(depth, ix, iy))
         assert row == [c.lo.x, c.lo.y, c.hi.x, c.hi.y]
+        if ix == (1 << depth) - 1:
+            last.append(depth)
+            assert c.hi.x == ODD_BOX.hi.x
+        if iy == (1 << depth) - 1:
+            last.append(depth)
+            assert c.hi.y == ODD_BOX.hi.y
+    assert cell_box(ODD_BOX, CellCoord(0, 0, 0)) == ODD_BOX
+    assert max(last) >= 2
+
+
+def test_a_root_box_of_infinite_width_keeps_its_edges():
+    # lo + 0 * w is NaN for w = inf: edges on the border are the root's own.
+    box = AABB(Vec2(-1e308, -1e308), Vec2(1e308, 1e308))
+    tree = build_tree([b(i, i, 0) for i in range(3)], box, 4)
+    assert cell_box(box, CellCoord(0, 0, 0)) == box
+    assert tree.box[:4, 0].tolist() == [-1e308, -1e308, 1e308, 1e308]
+    assert tree.query_radius(Vec2(0.0, 0.0), 5.0) == [0, 1, 2]
+
+
+def test_a_body_on_the_upper_edge_of_an_odd_box_is_found_at_radius_0():
+    box = AABB(Vec2(0.2, -0.3), Vec2(0.9, 0.4))  # cells' upper edges rounded to 0.8999999999999999
+    spots = [(0.9, 0.1), (0.56, 0.39), (0.25, -0.25), (0.3, -0.2), (0.21, -0.29)]
+    for capacity in (1, 3):
+        tree = build_tree([b(i, x, y) for i, (x, y) in enumerate(spots)], box, capacity)
+        for radius in (0.0, 1e-17):
+            assert tree.query_radius(Vec2(0.9, 0.1), radius) == [0]
 
 
 def test_every_tree_field_is_set_by_the_build():
