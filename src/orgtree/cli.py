@@ -72,7 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     fragment = detect_offline(args.trace, args.step, args.depth)
-    print(dumps_canonical(fragment))
+    print(dumps_canonical(fragment, "the detect output"))
     return EXIT_OK
 
 

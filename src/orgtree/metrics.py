@@ -79,10 +79,16 @@ class WeightedGraph:
             dy *= dy
             rows += dy
             np.sqrt(rows, out=rows)
+            # The transforms run in place, in the float operations of
+            # 1 / (d + eps) and exp(-(d * d) / (2 sigma^2)).
             if self.transform == TRANSFORM_INVERSE:
-                np.divide(1.0, rows + INVERSE_EPSILON, out=rows)
+                rows += INVERSE_EPSILON
+                np.divide(1.0, rows, out=rows)
             elif self.transform == TRANSFORM_GAUSSIAN:
-                np.exp(-(rows * rows) / (2.0 * self.sigma * self.sigma), out=rows)
+                rows *= rows
+                np.negative(rows, out=rows)
+                rows /= 2.0 * self.sigma * self.sigma
+                np.exp(rows, out=rows)
             rows[np.arange(hi - lo), diag[lo:hi]] = 0.0
             yield lo, rows
 

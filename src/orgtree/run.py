@@ -71,7 +71,7 @@ def _emit_frame(state: WorldState, config: Config, out_dir: Path, fh) -> None:
         q = modularity(graph, organization_partition(orgs, len(state.bodies)))
     frame = Frame(step=state.step, bodies=state.bodies,
                   organizations=tuple(orgs), modularity=q)
-    fh.write(dumps_canonical(frame_to_dict(frame)) + "\n")
+    fh.write(dumps_canonical(frame_to_dict(frame), f"the frame of step {state.step}") + "\n")
     svg_every = config.output.svg_every
     if svg_every > 0 and state.step % svg_every == 0:
         svg_path = out_dir / f"frame_{state.step:06d}.svg"
@@ -91,7 +91,7 @@ def run_simulation(config: Config, out_dir: str | Path, steps: int) -> Path:
     state = make_world(place_bodies(config), config.sim_params(), config.seed)
     trace_path = out_dir / TRACE_NAME
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(header_dict(config.to_dict())) + "\n")
+        fh.write(dumps_canonical(header_dict(config.to_dict()), "the trace header") + "\n")
         _emit_frame(state, config, out_dir, fh)
         for t in range(1, steps + 1):
             try:
@@ -220,7 +220,7 @@ def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:
             errors.append(rel)
             fh.write(dumps_canonical({
                 "id": b.id, "direct": [d.x, d.y], "tree": [a.x, a.y],
-                "rel_error": rel}) + "\n")
+                "rel_error": rel}, f"the field line of body {b.id}") + "\n")
         summary = {
             "summary": {
                 "n": len(bodies),
@@ -233,5 +233,5 @@ def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:
                 "time_tree": t2 - t1,
             }
         }
-        fh.write(dumps_canonical(summary) + "\n")
+        fh.write(dumps_canonical(summary, "the field summary") + "\n")
     return summary["summary"]

@@ -8,16 +8,21 @@ own.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .detect import Organization
-from .errors import ConfigError
+from .errors import ConfigError, DynamicsError
 from .geometry import AABB, CellCoord, Vec2
 from .ntree import Body
 
 TRACE_VERSION = 1
+_TAIL_BYTES = 64
+# A frame line ending in its step: a last key "step" with an integer of at most
+# 18 digits, in compact or spaced separators.
+_STEP_TAIL = re.compile(rb'[{,][ \t]*"step"[ \t]*:[ \t]*(0|[1-9]\d{0,17})[ \t]*}[ \t]*\Z')
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,12 @@ class Frame:
     modularity: float | None = None
 
 
-def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def dumps_canonical(obj: Any, what: str = "output") -> str:
+    """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError as exc:
+        raise DynamicsError(f"{what} holds a non-finite number: {exc}") from exc
 
 
 def header_dict(config_dict: dict[str, Any]) -> dict[str, Any]:
@@ -80,36 +89,81 @@ def bodies_from_frame_dict(data: dict[str, Any], charge: float = 1.0) -> list[Bo
             for b in data["bodies"]]
 
 
+def _decode(path: Path, lineno: int, line: bytes) -> Any:
+    try:
+        return json.loads(line)
+    except ValueError as exc:  # not JSON or not UTF-8, or an integer over the digit limit
+        why = getattr(exc, "msg", exc)  # a JSONDecodeError's message without its position
+        raise ConfigError(f"{path}:{lineno}: malformed trace line: {why}") from exc
+
+
+def _decode_frame(path: Path, lineno: int, line: bytes) -> dict[str, Any]:
+    frame = _decode(path, lineno, line)
+    if not isinstance(frame, dict):
+        raise ConfigError(f"{path}:{lineno}: frame line is not an object")
+    return frame
+
+
+def _tail_step(line: bytes) -> int | None:
+    """The step of a frame line whose last key is "step" with a plain integer,
+    read from its last _TAIL_BYTES bytes without decoding it; else None."""
+    match = _STEP_TAIL.search(line, max(0, len(line) - _TAIL_BYTES))
+    return None if match is None else int(match[1])
+
+
 @dataclass(frozen=True)
 class TraceData:
+    """A trace's decoded header and its frame lines, as (line number, step, line).
+
+    A line whose tail gives its step (`_tail_step`) is kept as bytes and
+    decoded each time its frame is asked for; any other line was decoded by
+    `read_trace` and has step None.
+    """
+    path: Path
     header: dict[str, Any]
-    frames: list[dict[str, Any]]
+    lines: tuple[tuple[int, int | None, Any], ...]
+
+    def _frame(self, lineno: int, step: int | None, line: Any) -> dict[str, Any]:
+        if step is None:
+            return line
+        frame = _decode_frame(self.path, lineno, line)
+        if frame.get("step") != step:
+            raise ConfigError(f"{self.path}:{lineno}: frame step {frame.get('step')!r} "
+                              f"differs from its line's tail, {step}")
+        return frame
+
+    @property
+    def frames(self) -> list[dict[str, Any]]:
+        """Every frame in file order; decodes every line kept as bytes."""
+        return [self._frame(*entry) for entry in self.lines]
 
     def frame_at(self, step: int) -> dict[str, Any]:
-        for frame in self.frames:
-            if frame.get("step") == step:
-                return frame
+        """The first frame whose step equals `step`, decoding no other line."""
+        for lineno, line_step, line in self.lines:
+            if (line.get("step") if line_step is None else line_step) == step:
+                return self._frame(lineno, line_step, line)
         raise ConfigError(f"trace has no frame for step {step}")
 
 
 def read_trace(path: str | Path) -> TraceData:
+    """Decode a trace's header and every frame line whose step its tail does not give.
+
+    A malformed line whose tail gives a step is reported only when its frame
+    is asked for, or when `frames` is read.
+    """
     path = Path(path)
-    parsed = []
-    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
-        if not line:
-            continue
-        try:
-            parsed.append(json.loads(line))
-        except ValueError as exc:  # not JSON or not UTF-8, or an integer over the digit limit
-            why = getattr(exc, "msg", exc)  # a JSONDecodeError's message without its position
-            raise ConfigError(f"{path}:{lineno}: malformed trace line: {why}") from exc
-        if parsed[1:] and not isinstance(parsed[-1], dict):
-            raise ConfigError(f"{path}:{lineno}: frame line is not an object")
-    if not parsed:
+    numbered = [(n, line) for n, line in enumerate(path.read_bytes().splitlines(), start=1)
+                if line]
+    if not numbered:
         raise ConfigError(f"{path}: empty trace")
-    header = parsed[0]
+    header = _decode(path, *numbered[0])
+    lines = []
+    for lineno, line in numbered[1:]:
+        step = _tail_step(line)
+        lines.append((lineno, step, line if step is not None
+                      else _decode_frame(path, lineno, line)))
     if not isinstance(header, dict) or "config" not in header or "version" not in header:
         raise ConfigError(f"{path}: first line is not a trace header")
     if header["version"] != TRACE_VERSION:
         raise ConfigError(f"{path}: unsupported trace version {header['version']!r}")
-    return TraceData(header=header, frames=parsed[1:])
+    return TraceData(path=path, header=header, lines=tuple(lines))

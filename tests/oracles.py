@@ -4,28 +4,32 @@ Everything in this module is deliberately naive and, where possible, exact:
 rational box arithmetic instead of floats, union-find over all-pairs contact
 instead of tree traversal, linear scans instead of pruned queries, one boid and
 one neighbour at a time instead of numpy batches, and a dense weight matrix
-instead of row blocks.  None of it imports the grouping, field, query or
+instead of row blocks, and a trace reader that decodes every line.  None of it imports the grouping, field, query or
 steering code under test beyond the plain data types and the integer
 cell-contact test.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
+from typing import Any
 
 import numpy as np
 
 from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
                            COHESION_NORMALIZED, WorldState)
 from orgtree.detect import CellSet
-from orgtree.errors import DynamicsError, SingularPairError, ZeroDistanceError
+from orgtree.errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
 from orgtree.kernels import KernelParams
 from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
                              TRANSFORM_INVERSE)
 from orgtree.ntree import Body, Node, build_tree
+from orgtree.trace import TRACE_VERSION
 
 
 def boxes_overlap_or_touch(a: AABB, b: AABB) -> bool:
@@ -723,3 +727,39 @@ def step_world_loop(state: WorldState) -> WorldState:
     tree = build_tree(moved, box, params.capacity, params.max_depth)
     return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,
                       seed=state.seed, params=params)
+
+
+def read_trace_reference(path) -> tuple[dict[str, Any], list[Any]]:
+    """The eager trace reader: (header, frames), decoding every line up front.
+
+    The reference for read_trace, which decodes only the header and the
+    frames asked for; both raise the same ConfigError texts.
+    """
+    path = Path(path)
+    parsed = []
+    for lineno, line in enumerate(path.read_bytes().splitlines(), start=1):
+        if not line:
+            continue
+        try:
+            parsed.append(json.loads(line))
+        except ValueError as exc:
+            why = getattr(exc, "msg", exc)
+            raise ConfigError(f"{path}:{lineno}: malformed trace line: {why}") from exc
+        if parsed[1:] and not isinstance(parsed[-1], dict):
+            raise ConfigError(f"{path}:{lineno}: frame line is not an object")
+    if not parsed:
+        raise ConfigError(f"{path}: empty trace")
+    header = parsed[0]
+    if not isinstance(header, dict) or "config" not in header or "version" not in header:
+        raise ConfigError(f"{path}: first line is not a trace header")
+    if header["version"] != TRACE_VERSION:
+        raise ConfigError(f"{path}: unsupported trace version {header['version']!r}")
+    return header, parsed[1:]
+
+
+def frame_at_reference(frames, step: int) -> dict[str, Any]:
+    """The first frame whose "step" equals `step`, by a linear scan."""
+    for frame in frames:
+        if frame.get("step") == step:
+            return frame
+    raise ConfigError(f"trace has no frame for step {step}")

@@ -15,6 +15,7 @@ from oracles import build_reference, collect_bodies, linear_radius
 from orgtree import metrics, run
 from orgtree.geometry import Vec2
 from orgtree.ntree import Body, build_tree
+from orgtree.trace import read_trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -87,3 +88,13 @@ def test_tree_shape_and_probe_queries_match_the_reference_tree():
     for radius in (0.5, 3.0, 20.0):
         hits = [len(tree.query_radius_bodies(b.position, radius)) for b in tree.bodies]
         assert hits == [len(linear_radius(everyone, b.position, radius)) for b in tree.bodies]
+
+
+def test_the_organize_trace_gives_every_step_from_its_tail(tmp_path):
+    """The organize workload writes its trace with `json.dumps(sort_keys=True)`,
+    whose spaced separators end each frame in `"step": k}`.  Every frame line
+    must give its step from that tail, so each op decodes one frame only."""
+    organize = load("workloads").Organize(1, tmp_path)
+    frames = read_trace(organize.trace_path).lines
+    assert [step for _, step, _ in frames] == list(range(organize.FRAMES))
+    assert all(isinstance(line, bytes) for _, _, line in frames)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ from orgtree.cli import main
 from orgtree.config import config_from_dict, load_config, override
 from orgtree.detect import CellSet, group_cells2, organizations_from
 from orgtree.errors import ConfigError
+from orgtree.geometry import Vec2
 from orgtree.ntree import build_tree
 from orgtree.run import (detect_offline, field_run, place_bodies,
                          render_offline, run_simulation)
@@ -438,6 +440,36 @@ def test_non_finite_field_exits_2_with_one_line(tmp_path, capsys, data, message)
     err = capsys.readouterr().err
     assert err.startswith("dynamics error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, what", [
+    ("simulate", "the frame of step 0"),
+    ("detect", "the detect output"),
+    ("field", "the field line of body 5"),
+])
+def test_non_finite_output_exits_2_with_one_line_and_is_not_written(tmp_path, capsys,
+                                                                    monkeypatch, command, what):
+    """No input path is known to reach the writers with a NaN, so one is put
+    into an organization's centroid or into one tree field."""
+    config = str(write_config(tmp_path, SMALL_CONFIG))
+    trace_path = run_simulation(config_from_dict(SMALL_CONFIG), tmp_path / "run", steps=0)
+    organizations = run.detect_organizations
+    fields = run.tree_fields
+    monkeypatch.setattr(run, "detect_organizations", lambda *a, **k: [
+        dataclasses.replace(o, centroid=Vec2(math.nan, 0.0)) for o in organizations(*a, **k)])
+    monkeypatch.setattr(run, "tree_fields", lambda *a: [
+        Vec2(math.inf, 0.0) if i == 5 else f for i, f in enumerate(fields(*a))])
+    out = tmp_path / "out"
+    argv = {"simulate": ["simulate", "--config", config, "--steps", "0", "--out", str(out)],
+            "detect": ["detect", "--trace", str(trace_path), "--step", "0", "--depth", "3"],
+            "field": ["field", "--config", config, "--out", str(out)]}[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"dynamics error: {what} holds a non-finite number")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    written = "".join(p.read_text(encoding="utf-8") for p in out.glob("*.jsonl"))
+    assert written.count("\n") == {"simulate": 1, "detect": 0, "field": 5}[command]
+    assert "NaN" not in written and "Infinity" not in written
 
 
 @pytest.mark.parametrize("command, where, key, value", [
