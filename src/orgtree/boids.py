@@ -26,12 +26,14 @@ of processing order.
 The update runs batched over the tree's rows: one tree-pruned radius query
 (ntree.radius_hits) finds every boid's neighbours leaf by leaf depth-first,
 every term is computed with the same float operations as a
-one-boid-at-a-time loop, and each sum adds its terms in neighbour order from
-0.0 with np.add.accumulate, never pairwise.  The result therefore equals
-that scalar loop bit for bit; the loop itself is kept as the test reference
-(tests/oracles.py).  A pair whose d^3 is 0 (coincident, or so close that it
-underflows) raises ZeroDistanceError for the pair the scalar loop meets
-first: the lowest boid id, its same-species neighbours before the others.
+one-boid-at-a-time loop, and each sum is one np.bincount over (boid, same or
+other species) bins.  bincount adds each term to its bin in index order from
+0.0, which is neighbour order, as the loop does; sum and reduce would add
+pairwise.  The result therefore equals that scalar loop bit for bit; the
+loop itself is kept as the test reference (tests/oracles.py).  A pair whose
+d^3 is 0 (coincident, or so close that it underflows) raises
+ZeroDistanceError for the pair the scalar loop meets first: the lowest boid
+id, its same-species neighbours before the others.
 
 The move is numpy over whole arrays too.  Reflection folds with a scalar
 fold's operations per bounce, up to 64 bounces, and a jump of many box
@@ -129,28 +131,6 @@ def make_world(bodies, params: SimParams, seed: int = 0) -> WorldState:
     return WorldState(bodies=ordered, tree=tree, step=0, seed=seed, params=params)
 
 
-def _ordered_sums(owner: np.ndarray, width: int, terms) -> np.ndarray:
-    """Per-owner sums of each term array, added in order from 0.0.
-
-    owner (0 .. width-1) is sorted, so an owner's terms keep their order.  They
-    are laid out as one zero-padded row per owner behind a leading zero
-    column; adding 0.0 never changes a running sum that started at 0.0, and
-    accumulate adds strictly left to right (sum and reduce add pairwise).
-    terms are functions that build the arrays, so one is alive at a time.
-    """
-    counts = np.bincount(owner, minlength=width)
-    cols = int(counts.max(initial=0)) + 1
-    rank = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    cell = owner * cols + rank + 1
-    grid = np.zeros((width, cols))
-    run = np.empty_like(grid)
-    out = np.empty((len(terms), width))
-    for i, term in enumerate(terms):
-        grid.reshape(-1)[cell] = term()  # the padding stays 0.0
-        out[i] = np.add.accumulate(grid, axis=1, out=run)[:, -1]
-    return out
-
-
 @np.errstate(all="ignore")  # like the scalar loop: inf and NaN pass silently
 def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Post-update velocities of every body in id order, or of body j only.
@@ -173,9 +153,9 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
     def coef(name: str) -> np.ndarray:  # a species setting per target
         return np.array([getattr(sp, name) for sp in params.species])[tsp.astype(np.intp)]
 
-    # sw, csx, csy, ssx, ssy, asx, asy over the same species; osx, osy over
-    # the others; then the same-species neighbour count.
-    sums = np.zeros((10, len(tx)))
+    # Per term, its sums over the same species (half 0) and over the others
+    # (half 1): w, w * x, w * y, sep_x, sep_y, aw * vx, aw * vy, then the count.
+    sums = np.zeros((8, 2, len(tx)))
     singular: list[tuple] = []
     for a, b, t, nb, d2 in radius_hits(tree, tx, ty, coef("neighbor_radius")):
         mine = bid[nb] != tid[t]
@@ -186,23 +166,15 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
         if len(zero):
             singular.extend(zip(tid[t[zero]].tolist(), (other[zero] != 0).tolist(),
                                 zero.tolist(), bid[nb[zero]].tolist(), d2[zero].tolist()))
-        u = t - a
-        card = np.bincount(u, np.where(other, 0.0, 1.0), minlength=b - a)
+        m = b - a
+        key = t - a + m * (other != 0)  # the target's bin in the term's half
+        sums[7, :, a:b] = np.bincount(key, minlength=2 * m).reshape(2, m)
         w = 1.0 / d2
-        aw = 1.0 / (card[u] * d2)
+        aw = 1.0 / (sums[7, 0, t] * d2)
         sep_x, sep_y = (tx[t] - bx[nb]) / d3, (ty[t] - by[nb]) / d3
-        # Each list's sums skip the other list's terms by adding 0.0 for them.
-        sums[:9, a:b] = _ordered_sums(u, b - a, (
-            lambda: np.where(other, 0.0, w),
-            lambda: np.where(other, 0.0, w * bx[nb]),
-            lambda: np.where(other, 0.0, w * by[nb]),
-            lambda: np.where(other, 0.0, sep_x),
-            lambda: np.where(other, 0.0, sep_y),
-            lambda: np.where(other, 0.0, aw * bvx[nb]),
-            lambda: np.where(other, 0.0, aw * bvy[nb]),
-            lambda: np.where(other, sep_x, 0.0),
-            lambda: np.where(other, sep_y, 0.0)))
-        sums[9, a:b] = card
+        for i, term in enumerate((w, w * bx[nb], w * by[nb], sep_x, sep_y,
+                                  aw * bvx[nb], aw * bvy[nb])):
+            sums[i, :, a:b] = np.bincount(key, term, 2 * m).reshape(2, m)
     if singular:
         boid, _, _, near, dist2 = min(singular)  # lowest id, then its same-species list
         raise ZeroDistanceError(
@@ -210,7 +182,7 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
             f"boids {boid} and {near} are too close: distance^3 underflows to 0",
             pair=(boid, near))
 
-    sw, csx, csy, ssx, ssy, asx, asy, osx, osy, card = sums
+    (sw, _), (csx, _), (csy, _), (ssx, osx), (ssy, osy), (asx, _), (asy, _), (card, _) = sums
     if params.cohesion_mode == COHESION_LITERAL:
         cx, cy = csx - tx, csy - ty
     else:

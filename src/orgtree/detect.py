@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, ldexp
 from typing import Iterable
 
 from .geometry import AABB, CellCoord, Vec2, cells_touch
@@ -135,6 +135,18 @@ def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
     return [frozenset(g) for g in groups.values()]
 
 
+def _mean(values: list[float]) -> float:
+    """The mean of finite floats, fsum over the count.  When the sum
+    overflows, the values are scaled by 2^-k, with 2^k above their count, so
+    their sum cannot; the mean of those is scaled back, which is finite.
+    """
+    try:
+        return fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return ldexp(fsum(ldexp(v, -k) for v in values) / len(values), k)
+
+
 def organizations_from(groups: Iterable[Iterable[CellCoord]],
                        tree: NTree) -> list[Organization]:
     """Materialize organizations from cell groups.
@@ -167,7 +179,7 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
         rows.sort(key=ids.__getitem__)  # by member id
         members = tuple(ids[k] for k in rows)
         xs, ys = [px[k] for k in rows], [py[k] for k in rows]
-        centroid = Vec2(fsum(xs) / len(xs), fsum(ys) / len(ys))
+        centroid = Vec2(_mean(xs), _mean(ys))
         bbox = AABB(Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys)))
         protos.append((cell_group, members, centroid, bbox))
 

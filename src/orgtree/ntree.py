@@ -290,16 +290,14 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
 def _ordered_sums(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
     """Each row of values summed over every span start .. start + size - 1.
 
-    A sum adds its span's values one at a time in order from 0.0, as a Python
-    loop does: round j adds the j-th value of every span that has one.  A sum
-    begun at 0.0 is never -0.0, so leaving an empty child's 0.0 out of a
-    parent's span changes nothing.
+    np.bincount adds each weight to its bin in index order from 0.0, so a
+    span's sum adds its values one at a time in order, as a Python loop does.
+    A sum begun at 0.0 is never -0.0, so leaving an empty child's 0.0 out of
+    a parent's span changes nothing.
     """
-    acc = np.zeros((len(values), len(size)))
-    for j in range(size.max(initial=0)):
-        has = size > j
-        acc[:, has] += values[:, start[has] + j]
-    return acc
+    owner = np.repeat(np.arange(len(size)), size)
+    at = np.arange(len(owner)) + np.repeat(start - np.cumsum(size) + size, size)
+    return np.array([np.bincount(owner, row[at], len(size)) for row in values], dtype=float)
 
 
 def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:

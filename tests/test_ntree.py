@@ -91,6 +91,22 @@ def test_build_equals_the_recursive_reference(seed, n, capacity, max_depth, box)
     assert_same_node(tree.root, root)
 
 
+def test_a_pile_at_max_depth_sums_like_the_recursive_reference():
+    # 3,000 coincident bodies with signed charges fill one leaf at max_depth,
+    # beside 300 spread ones: the leaf sums run over the whole pile in order.
+    rng = random.Random(4)
+    bodies = [b(i, 37.3, 61.9, rng.uniform(-1.0, 1.0)) for i in range(3000)]
+    bodies += [b(3000 + i, rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0),
+                 rng.choice([1.0, -1.0, 0.5, 2.5])) for i in range(300)]
+    rng.shuffle(bodies)
+    tree = build_tree(bodies, BOX_100, 3, 4)
+    want = flatten_reference(build_reference(bodies, BOX_100, 3, 4), bodies)
+    pile = int(np.argmax(tree.count[:len(tree.first) - 1]))
+    assert tree.count[pile] >= 3000 and tree.coords[0, pile] == 4
+    for key in ("cx", "cy", "charge"):
+        assert same_floats(getattr(tree, key), want[key]), key
+
+
 def test_every_row_is_its_cell_box_and_last_edges_are_the_roots():
     tree = build_tree(scene(5, 40, ODD_BOX), ODD_BOX, 1)
     assert ODD_BOX.lo.x + ODD_BOX.width != ODD_BOX.hi.x

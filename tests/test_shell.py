@@ -341,6 +341,31 @@ class TestCli:
                      "--out", str(svg_path)]) == 0
         assert svg_path.read_text(encoding="utf-8").startswith("<svg")
 
+    def test_centroid_near_the_float_limit_is_finite(self, tmp_path, capsys):
+        # Two members near 1.6e308: their coordinate sums overflow, their
+        # means do not.
+        cfg_path = write_config(tmp_path, {
+            "seed": 1, "world": {"box": [[0.0, 0.0], [1.7e308, 1.7e308]], "capacity": 1},
+            "species": [{"name": "huge", "count": 2, "center": [1.6e308, 1.6e308],
+                         "radius": 1e306, "seed": 5}],
+            "detection": {"depth": 1},
+        })
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--steps", "0",
+                     "--out", str(out)]) == 0
+        frame = json.loads((out / "trace.jsonl").read_text(encoding="utf-8").splitlines()[1])
+        assert main(["detect", "--trace", str(out / "trace.jsonl"), "--step", "0",
+                     "--depth", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        detected = json.loads(captured.out.splitlines()[-1])
+        for org in frame["organizations"] + detected["organizations"]:
+            (lx, ly), (hx, hy) = org["bbox"]
+            cx, cy = org["centroid"]
+            assert math.isfinite(cx) and math.isfinite(cy)
+            assert lx <= cx <= hx and ly <= cy <= hy
+        assert [o["members"] for o in detected["organizations"]] == [[0, 1]]
+
     def test_field_command_prints_summary(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {
             "species": [{"name": "m", "count": 40, "center": [50.0, 50.0],
