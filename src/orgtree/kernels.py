@@ -15,12 +15,13 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
-The tree sums walk the tree's rows (ntree.NTree) as level-synchronous numpy
-frontiers, in one sweep (_group_fields) over groups of targets (Barnes 1990):
-tree_fields makes each leaf's bodies a group, tree_field its point a group of
-one.  A (group, row) pair whose test comes out the same for every target of
-the group is settled once, and only the other pairs continue target by
-target.  The group tests bound each target's squared distance d2 by the same
+The tree sums walk the tree's rows (ntree.NTree) in one sweep (_group_fields)
+over groups of targets (Barnes 1990): tree_fields makes each leaf's bodies a
+group, tree_field its point a group of one.  One level-synchronous frontier
+loop (_walk) does every walk, with the opening test passed in.  A (group,
+row) pair whose test (_settled) comes out the same for every target of the
+group is settled once, and only the other pairs continue target by target
+(_far).  The group tests bound each target's squared distance d2 by the same
 float operations applied to the edges of the bounding box of the group's
 targets.  Rounding is monotone, so the bounds hold for every target bit for
 bit, with no margin: side^2 < theta^2 * (least d2) means every target takes
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import DynamicsError, SingularPairError
 from .geometry import Vec2
-from .ntree import Body, NTree, _pow2
+from .ntree import Body, NTree, _pow2, _spans
 
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
@@ -177,40 +178,31 @@ def _fsums(owner: np.ndarray, v: np.ndarray, m: int, huge=math.fsum) -> np.ndarr
     return res
 
 
-def _walk(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray, t: np.ndarray,
-          row: np.ndarray, th2: float) -> tuple[np.ndarray, np.ndarray]:
-    """The far (target, row) pairs of the walks of targets t from rows row
-    down, each target's own body skipped: the one per-target traversal.
+def _walk(tree: NTree, settle, owner: np.ndarray, row: np.ndarray):
+    """The far and the unsettled pairs of the walks from pairs (owner, row)
+    down, each as (owners, rows): the one frontier loop, level-synchronous.
 
-    Pairs walk as one level-synchronous frontier.  A far pair ends there; any
-    other pair is replaced by the pairs of the row's children, which for a
-    leaf are its body rows.
+    settle(owner, row) gives the pairs far for every target of their owner,
+    and those open for every one.  A far pair ends; an open pair becomes its
+    row's children, for a leaf its body rows; any other comes back unsettled.
     """
-    ids = tree.id  # node rows have id -2
-    far_t, far_row = [t[:0]], [row[:0]]
-    while len(t):
-        far = _far(tree, tx[t], ty[t], row, th2)
-        emit = far & (ids[row] != tid[t])
-        far_t.append(t[emit])
-        far_row.append(row[emit])
-        t, row = _children(tree, t[~far], row[~far])
-    return np.concatenate(far_t), np.concatenate(far_row)
-
-
-def _children(tree: NTree, owner: np.ndarray, row: np.ndarray):
-    """(owner, child) for each child of each pair's row, pair by pair in
-    child order; a leaf's children are its body rows."""
-    n = tree.count[row]
-    owner = np.repeat(owner, n)
-    return owner, np.arange(len(owner)) + np.repeat(tree.first[row] - np.cumsum(n) + n, n)
+    far, unsettled = [(owner[:0], row[:0])], [(owner[:0], row[:0])]
+    while len(owner):
+        far_all, far_none = settle(owner, row)
+        rest = ~(far_all | far_none)
+        far.append((owner[far_all], row[far_all]))
+        unsettled.append((owner[rest], row[rest]))
+        row = row[far_none]
+        owner, row = _spans(owner[far_none], tree.first[row], tree.count[row])
+    return [tuple(map(np.concatenate, zip(*pairs))) for pairs in (far, unsettled)]
 
 
 @np.errstate(all="ignore")  # NaN centers and zero distances fail the side test, as in the walk
-def _far(tree: NTree, x: np.ndarray, y: np.ndarray, row: np.ndarray, th2: float) -> np.ndarray:
+def _far(tree: NTree, x: np.ndarray, y: np.ndarray, row: np.ndarray, th2: float):
     """Whether the depth-first walk of a target at (x, y) takes row as one
-    term, with the walk's test and operations.  A body row has the sentinel
-    box, so it is never inside and passes the side test, as the walk sums a
-    leaf's bodies one by one.
+    term, and whether it opens row: the walk's test and operations.  A body
+    row has the sentinel box, so it is never inside and passes the side
+    test, as the walk sums a leaf's bodies one by one.
     """
     lo_x, lo_y, hi_x, hi_y, side2 = tree.box  # taken a column at a time: less scratch
     inside = lo_x.take(row, mode="clip") <= x
@@ -222,7 +214,8 @@ def _far(tree: NTree, x: np.ndarray, y: np.ndarray, row: np.ndarray, th2: float)
     # s/d < theta without the square root: s^2 < theta^2 * d^2.  It fails for
     # d = 0 and for the NaN center of a cancelled node; fmax turns the NaN of
     # 0 * inf into 0, which a body row's side^2 of -1 still passes.
-    return ~inside & (side2.take(row, mode="clip") < np.fmax(th2 * d2, 0.0))
+    far = ~inside & (side2.take(row, mode="clip") < np.fmax(th2 * d2, 0.0))
+    return far, ~far
 
 
 @np.errstate(all="ignore")  # a zero denominator gives a non-finite term, raised by the caller
@@ -248,25 +241,6 @@ def _block_sums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
         return _fsums(np.concatenate((owner, owner + m)), v, 2 * m, huge=lambda terms: math.nan)
     except (ValueError, OverflowError):
         return np.full(2 * m, np.nan)
-
-
-def _group_walk(tree: NTree, bbox: np.ndarray, g: np.ndarray, th2: float):
-    """The settled-far and the unsettled (group, row) pairs of target groups
-    g, each as a (groups, rows) pair of arrays.
-
-    bbox[:, k] is the lo_x, lo_y, hi_x, hi_y of group k's targets.  The pairs
-    walk down from the root as _walk's do; a row settled open for a group is
-    replaced by its children.
-    """
-    row = np.zeros(len(g), dtype=np.intp)
-    far, unsettled = [(g[:0], row[:0])], [(g[:0], row[:0])]
-    while len(g):
-        far_all, far_none = _settled(tree, bbox.take(g, axis=1), row, th2)
-        rest = ~(far_all | far_none)
-        far.append((g[far_all], row[far_all]))
-        unsettled.append((g[rest], row[rest]))
-        g, row = _children(tree, g[far_none], row[far_none])
-    return [tuple(map(np.concatenate, zip(*pairs))) for pairs in (far, unsettled)]
 
 
 @np.errstate(all="ignore")  # a NaN bound settles nothing it should not
@@ -304,8 +278,8 @@ def _spread(g: np.ndarray, row: np.ndarray, start: np.ndarray, end: np.ndarray,
     meets = (ga <= g) & (g <= gb)
     g, row = g[meets], row[meets]
     lo = np.maximum(start[g], a)
-    k = np.minimum(end[g], b) - lo
-    return np.arange(k.sum()) + np.repeat(lo - np.cumsum(k) + k, k), np.repeat(row, k)
+    row, t = _spans(row, lo, np.minimum(end[g], b) - lo)
+    return t, row
 
 
 def _group_fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
@@ -314,30 +288,34 @@ def _group_fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
     for none), NaN where _block_sums gives NaN: the one field sweep.
 
     Group k is targets start[k] .. start[k + 1] - 1, the last group running
-    to the end.  Chunks of consecutive groups walk as groups (_group_walk); a
-    chunk's unsettled pairs continue target by target (_walk), and its far
-    pairs are summed in blocks of targets sized from the terms per target of
-    the last block.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
+    to the end.  Chunks of consecutive groups walk as groups (_walk with
+    _settled); a chunk's unsettled pairs continue target by target (_walk
+    with _far), and its far pairs are summed in blocks of targets sized from
+    the terms per target of the last block, each target skipping its own
+    body there.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
     """
     end = np.append(start[1:], len(tx))
     bbox = np.stack([np.minimum.reduceat(tx, start), np.minimum.reduceat(ty, start),
                      np.maximum.reduceat(tx, start), np.maximum.reduceat(ty, start)])
     th2 = params.theta * params.theta
+    groups = lambda g, row: _settled(tree, bbox.take(g, axis=1), row, th2)
+    targets = lambda t, row: _far(tree, tx[t], ty[t], row, th2)
     out = np.empty((2, len(tx)))
     g0, chunk, size = 0, 1, 1
     while g0 < len(start):
         g1 = min(g0 + chunk, len(start))
         a, stop = start[g0], end[g1 - 1]
-        far, unsettled = _group_walk(tree, bbox, np.arange(g0, g1 if len(tree.id) else g0), th2)
-        wt, wrow = _walk(tree, tx, ty, tid, *_spread(*unsettled, start, end, a, stop), th2)
+        g = np.arange(g0, g1 if len(tree.id) else g0)
+        far, unsettled = _walk(tree, groups, g, np.zeros_like(g))
+        (wt, wrow), _ = _walk(tree, targets, *_spread(*unsettled, start, end, a, stop))
         chunk = _pow2(_BLOCK_TERMS * (g1 - g0) / max(len(far[0]), 1))
         while a < stop:
             b = min(a + size, stop)
             t, row = _spread(*far, start, end, a, b)
-            keep = tree.id[row] != tid[t]  # each target skips its own body
             walked = (a <= wt) & (wt < b)
-            t = np.concatenate((t[keep], wt[walked]))
-            row = np.concatenate((row[keep], wrow[walked]))
+            t, row = np.concatenate((t, wt[walked])), np.concatenate((row, wrow[walked]))
+            keep = tree.id[row] != tid[t]  # each target skips its own body
+            t, row = t[keep], row[keep]
             m, terms = b - a, len(t)
             v = _terms(tree, tx, ty, t, row, params)
             del row  # the sums are the sweep's peak: hold nothing they do not need
@@ -373,15 +351,18 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
     and always opens, as does one whose box holds the target: with signed
     charges its far-off center could pass the test and fold in the target.
     The point walks as a group of one, which settles every pair.  A sum that
-    is not finite raises as the walk does, or is summed in the walk's order.
+    is not finite walks again with _far, and raises as the walk does or is
+    summed in the walk's order.
     """
     tx, ty, tid = np.array([target.x]), np.array([target.y]), np.array([max(target_id, -1)])
     zero = np.zeros(1, dtype=np.intp)  # the group's start, the target and the root row
     f = _group_fields(tree, tx, ty, tid, zero, params)
     if np.isnan(f).any():
-        t, row = _walk(tree, tx, ty, tid, zero, zero, params.theta * params.theta)
-        v = _terms(tree, tx, ty, t, row, params)
-        return _depth_first(tree, int(tid[0]), row, v[:len(t)], v[len(t):])
+        th2 = params.theta * params.theta
+        (_, row), _ = _walk(tree, lambda t, row: _far(tree, tx[t], ty[t], row, th2), zero, zero)
+        row = row[tree.id[row] != tid[0]]  # the target skips its own body
+        v = _terms(tree, tx, ty, np.zeros_like(row), row, params)
+        return _depth_first(tree, int(tid[0]), row, v[:len(row)], v[len(row):])
     return Vec2(*f[:, 0].tolist())
 
 

@@ -16,7 +16,8 @@ breadth-first, then the bodies depth-first (Z/Morton order; Warren & Salmon
 rows.  `radius_hits` is the one radius query over them, for many centers at
 once; `NTree.query_radius_bodies` is its one-center call.  `NTree.root`
 builds a read-only `Node` view of the rows on demand for callers that walk
-the tree as objects.
+the tree as objects.  A node's children and a leaf's bodies are spans of
+rows, and `_spans` is the one step every build pass and walk expands them by.
 """
 
 from __future__ import annotations
@@ -239,9 +240,7 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
         ix, iy, start, size = ix[split], iy[split], start[split], size[split]
         if not len(size):
             break
-        owner = np.repeat(np.arange(len(size)), size)
-        base = start - np.cumsum(size) + size  # a split cell's offset in perm minus in `at`
-        at = np.arange(len(owner)) + np.repeat(base, size)
+        owner, at = _spans(np.arange(len(size)), start, size)
         inside = perm[at]
         w, h = root_box.width / (1 << len(levels)), root_box.height / (1 << len(levels))
         right = x[inside] >= (lo.x + (2 * ix + 1) * w)[owner]
@@ -250,10 +249,9 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
         perm[at] = inside[np.argsort(cell, kind="stable")]
         kids = np.bincount(cell, minlength=4 * len(size))
         fans.append(np.count_nonzero(kids.reshape(-1, 4), axis=1))
-        offset = np.cumsum(kids) - kids + np.repeat(base, 4)
         ix = (2 * ix[:, None] + [0, 1, 0, 1]).reshape(-1)[kids > 0]
         iy = (2 * iy[:, None] + [0, 0, 1, 1]).reshape(-1)[kids > 0]
-        start, size = offset[kids > 0], kids[kids > 0]
+        start, size = at[(np.cumsum(kids) - kids)[kids > 0]], kids[kids > 0]
 
     ix, iy, start, size, split, depth = (np.concatenate(c) for c in zip(*levels))
     n, fan = len(ix), np.concatenate(fans)
@@ -295,9 +293,15 @@ def _ordered_sums(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np
     A sum begun at 0.0 is never -0.0, so leaving an empty child's 0.0 out of
     a parent's span changes nothing.
     """
-    owner = np.repeat(np.arange(len(size)), size)
-    at = np.arange(len(owner)) + np.repeat(start - np.cumsum(size) + size, size)
+    owner, at = _spans(np.arange(len(size)), start, size)
     return np.array([np.bincount(owner, row[at], len(size)) for row in values], dtype=float)
+
+
+def _spans(owner: np.ndarray, start: np.ndarray, size: np.ndarray):
+    """(owner, index) for each index start .. start + size - 1 of each span,
+    span by span: the one expansion of ragged spans into flat indices."""
+    at = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
+    return np.repeat(owner, size), at
 
 
 def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:
@@ -337,9 +341,7 @@ def _near_leaves(tree: NTree, query, lo: int, hi: int) -> tuple[np.ndarray, np.n
         t, row = t[near], row[near]
         if not len(row) or first[row].min() >= n:  # leaves only
             return t, row
-        k = fan[row]
-        t = np.repeat(t, k)
-        row = np.arange(len(t)) + np.repeat(base[row] - np.cumsum(k) + k, k)
+        t, row = _spans(t, base[row], fan[row])
 
 
 def radius_hits(tree: NTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
@@ -371,9 +373,7 @@ def radius_hits(tree: NTree, x: np.ndarray, y: np.ndarray, radius: np.ndarray):
         ends = np.cumsum(np.bincount(leaf_t - lo, minlength=hi - lo))
         ends = [0, *ends[[c - lo - 1 for c in cuts[1:]]].tolist()]
         for a, b, p, q in zip(cuts, cuts[1:], ends, ends[1:]):
-            k = leaf_k[p:q]
-            t = np.repeat(leaf_t[p:q], k)
-            body = np.arange(len(t)) + np.repeat(leaf_start[p:q] - np.cumsum(k) + k, k)
+            t, body = _spans(leaf_t[p:q], leaf_start[p:q], leaf_k[p:q])
             dx, dy = bx[body] - x[t], by[body] - y[t]
             d2 = dx * dx + dy * dy
             hit = d2 <= r2[t]

@@ -152,8 +152,12 @@ def read_trace(path: str | Path) -> TraceData:
     is asked for, or when `frames` is read.
     """
     path = Path(path)
-    numbered = [(n, line) for n, line in enumerate(path.read_bytes().splitlines(), start=1)
-                if line]
+    try:  # line by line, so the file's bytes are never held twice; lines end as in splitlines
+        with path.open("rb", buffering=1 << 16) as fh:  # frame lines run to 100s of KiB
+            numbered = [(n, line) for n, line in enumerate(
+                (part for raw in fh for part in raw.splitlines()), start=1) if line]
+    except OSError as exc:
+        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     if not numbered:
         raise ConfigError(f"{path}: empty trace")
     header = _decode(path, *numbered[0])

@@ -312,6 +312,25 @@ def test_pair_too_close_for_a_finite_term_is_singular():
     assert tree_fields(tree, KernelParams(softening=1e-3))[0].x > 0.0
 
 
+def test_a_target_with_inf_nan_and_minus_inf_terms_raises_the_walks_pair():
+    # Body 0's y terms are +inf (body 1: r^3 underflows), NaN (body 2
+    # coincides) and -inf (body 3); math.fsum raises ValueError on them, which
+    # the sweep must turn into the walk's SingularPairError.
+    bodies = [b(0, 0.0, 0.0), b(1, 0.0, 1e-110), b(2, 0.0, 0.0), b(3, 0.0, -1e-110),
+              b(4, 0.9, 0.9)]
+    tree = build_tree(bodies, AABB(Vec2(-1.0, -1.0), Vec2(1.0, 1.0)), 4)
+    for theta in (0.0, 0.5):
+        params = KernelParams(theta=theta)
+        walked = [outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+                  for x in bodies]
+        assert walked[0] == ("singular", (3, 0))
+        assert outcome(lambda: tree_fields(tree, params)[0]) == walked[0]
+        assert [outcome(lambda: tree_field(tree, x.position, x.id, params))
+                for x in bodies] == walked
+        assert outcome(lambda: tree_field(tree, Vec2(0.0, 0.0), -1, params)) == outcome(
+            lambda: tree_field_walk(tree, Vec2(0.0, 0.0), -1, params))
+
+
 def test_direct_paths_report_a_pair_too_close_for_a_finite_term():
     # The direct sum, one direct target and one pair all meet the same pair
     # as tree_fields: r^2 = 1e-220 is positive but r^3 underflows to zero.

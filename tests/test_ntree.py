@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import numpy as np
@@ -452,3 +452,18 @@ class TestLeafBoxGeometry:
             assert node.box.hi == box.hi
             assert (node.lo_x, node.lo_y, node.hi_x, node.hi_y) == (
                 box.lo.x, box.lo.y, box.hi.x, box.hi.y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 5)), max_size=12))
+@example([])  # no spans
+@example([(4, 0), (-2, 0)])  # every span empty
+def test_spans_expand_span_by_span_as_a_loop_does(spans):
+    """ntree._spans against a Python loop over the spans: empty spans, all
+    spans empty and no spans at all, each owner carried to its indices."""
+    start = np.array([s for s, _ in spans], dtype=np.int64)
+    size = np.array([k for _, k in spans], dtype=np.int64)
+    owner = np.arange(len(spans)) * 7 + 3
+    got_owner, got = ntree._spans(owner, start, size)
+    want = [(o, i) for o, (s, k) in zip(owner.tolist(), spans) for i in range(s, s + k)]
+    assert list(zip(got_owner.tolist(), got.tolist())) == want

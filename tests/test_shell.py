@@ -414,6 +414,18 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("command", ["detect", "render"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_trace_exits_1(self, tmp_path, capsys, command, where):
+        path = tmp_path / "nope" / "trace.jsonl"
+        if where == "directory":
+            path.mkdir(parents=True)
+        extra = ["--depth", "3"] if command == "detect" else ["--out", str(tmp_path / "f.svg")]
+        assert main([command, "--trace", str(path), "--step", "0", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read trace {path}: ")
+        assert err.count("\n") == 1
+
     def test_usage_error_exits_1(self):
         with pytest.raises(SystemExit) as err:
             main(["simulate"])  # --config is required

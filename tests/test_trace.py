@@ -2,6 +2,7 @@
 eager reader of tests/oracles.py on every frame and every error text."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -141,3 +142,34 @@ def test_one_frame_read_decodes_the_header_and_that_frame_only(tmp_path, monkeyp
     monkeypatch.setattr(trace.json, "loads", counting)
     assert read_trace(path).frame_at(k) == frame(k, modularity=0.5)
     assert decoded == [dumps(HEADER, COMPACT), dumps(frame(k, modularity=0.5), COMPACT)]
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n", b"\r\r\n\n"])
+def test_lines_end_and_count_as_in_splitlines(tmp_path, end):
+    """read_trace reads line by line; its line numbers stay those of
+    bytes.splitlines, blank lines counted, whatever ends the lines."""
+    lines = [dumps(HEADER, COMPACT), dumps(frame(0), COMPACT), b"", dumps(frame(1), SPACED)]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(end.join(lines))
+    assert read_trace(path).frames == read_trace_reference(path)[1]
+    path.write_bytes(end.join(lines + [b"", b"5", dumps(frame(2), COMPACT)]) + end)
+    with pytest.raises(ConfigError) as want:
+        read_trace_reference(path)
+    with pytest.raises(ConfigError) as got:
+        read_trace(path)
+    assert str(got.value) == str(want.value)
+
+
+def test_read_peaks_at_about_the_file_size(tmp_path):
+    """Lines are read one at a time, not split out of the whole file's bytes."""
+    big = [dict(frame(step), bodies=frame(step)["bodies"] * 100) for step in range(200)]
+    path = write(tmp_path, [dumps(HEADER, COMPACT)] + [dumps(f, COMPACT) for f in big])
+    del big
+    tracemalloc.start()
+    try:
+        data = read_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data.lines) == 200
+    assert peak <= 1.25 * path.stat().st_size
