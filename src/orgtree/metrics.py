@@ -6,19 +6,23 @@ degree-based expectation, so weights must mean similarity, not distance.
 Raw distances invert that meaning and reward spread-out groups; the raw
 transform is kept for experiments but the inverse transform is the default.
 
-A graph from `interaction_graph` holds only the N x 2 positions.  Weight rows
-are filled _BLOCK_ROWS at a time, and `modularity` reduces each block to
-per-group row sums and discards it, so memory is O(N * _BLOCK_ROWS).  The
-dense N x N matrix is built only when a caller reads `.weights`.
+A graph from `interaction_graph` holds only the N x 2 positions.  Weights
+are symmetric bit for bit, so only the strict upper triangle is computed,
+_BLOCK_ROWS rows at a time, and `modularity` reduces each block to per-node
+row and column sums: memory is O(N * _BLOCK_ROWS).  The dense N x N matrix
+is built, by mirroring the same blocks, only when a caller reads `.weights`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .ntree import columns
 
 TRANSFORM_INVERSE = "inverse"
 TRANSFORM_GAUSSIAN = "gaussian"
@@ -32,9 +36,11 @@ _BLOCK_ROWS = 64  # weight rows filled per block
 class WeightedGraph:
     """Complete undirected graph with zero diagonal.
 
-    `WeightedGraph(n, weights)` wraps a dense symmetric matrix.  A graph made
-    by `interaction_graph` keeps the positions, transform and sigma instead
-    and computes weight rows on demand.
+    `WeightedGraph(n, weights)` wraps a dense symmetric matrix, which is
+    read by its strict upper triangle: the diagonal is taken to be zero and
+    the lower triangle to be the upper one's mirror.  A graph made by
+    `interaction_graph` keeps the positions, transform and sigma instead and
+    computes weight rows on demand.
     """
 
     def __init__(self, n: int, weights: np.ndarray | None = None, *,
@@ -50,46 +56,53 @@ class WeightedGraph:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """The dense matrix, built from `_row_blocks` on first use."""
+        """The dense matrix: the upper blocks of `_row_blocks`, mirrored."""
         w = np.empty((self.n, self.n))
         for lo, rows in self._row_blocks(np.arange(self.n)):
-            w[lo:lo + len(rows)] = rows
+            hi = lo + len(rows)
+            w[lo:hi, lo:] = rows
+            w[hi:, lo:hi] = rows[:, hi - lo:].T
+            w[lo:hi, lo:hi] += rows[:, :hi - lo].T  # one of each pair is 0.0
         return w
 
     def _row_blocks(self, order: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(first row, rows) per block of _BLOCK_ROWS weight rows, columns in `order`.
+        """(lo, rows) per block of _BLOCK_ROWS upper-triangle weight rows.
 
-        Blocks are copied from the dense matrix when the graph holds one, and
-        otherwise computed into a buffer that the next block overwrites.
+        Nodes are taken in `order`: the rows of block [lo, hi) hold the
+        weights between nodes order[lo:hi] and order[lo:], with every entry
+        on or below the diagonal set to 0.0.  Blocks are gathered from the
+        dense matrix when the graph holds one, and otherwise computed into a
+        buffer that the next block overwrites.
         """
         n, dense = self.n, vars(self).get("weights")
-        if dense is not None:
-            for lo in range(0, n, _BLOCK_ROWS):
-                yield lo, dense[lo:lo + _BLOCK_ROWS][:, order]
-            return
-        buf = np.empty((2, min(n, _BLOCK_ROWS), n))
-        pos, cols, diag = self.positions, self.positions[order], np.argsort(order)
+        low = np.tri(min(n, _BLOCK_ROWS), dtype=bool)  # on or below the diagonal
+        if dense is None:
+            pos, buf = self.positions[order], np.empty((2, min(n, _BLOCK_ROWS) * n))
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
-            # dx*dx + dy*dy is bit for bit the sum over the last axis of an
-            # N x N x 2 difference tensor, never built.
-            rows = np.subtract(pos[lo:hi, None, 0], cols[:, 0], out=buf[0, :hi - lo])
-            rows *= rows
-            dy = np.subtract(pos[lo:hi, None, 1], cols[:, 1], out=buf[1, :hi - lo])
-            dy *= dy
-            rows += dy
-            np.sqrt(rows, out=rows)
-            # The transforms run in place, in the float operations of
-            # 1 / (d + eps) and exp(-(d * d) / (2 sigma^2)).
-            if self.transform == TRANSFORM_INVERSE:
-                rows += INVERSE_EPSILON
-                np.divide(1.0, rows, out=rows)
-            elif self.transform == TRANSFORM_GAUSSIAN:
+            if dense is not None:
+                rows = dense[np.ix_(order[lo:hi], order[lo:])]
+            else:
+                # dx*dx + dy*dy is bit for bit the sum over the last axis of an
+                # N x N x 2 difference tensor, never built, and symmetric in i, j.
+                dx, dy = buf[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
+                rows = np.subtract(pos[lo:hi, None, 0], pos[lo:, 0], out=dx)
                 rows *= rows
-                np.negative(rows, out=rows)
-                rows /= 2.0 * self.sigma * self.sigma
-                np.exp(rows, out=rows)
-            rows[np.arange(hi - lo), diag[lo:hi]] = 0.0
+                np.subtract(pos[lo:hi, None, 1], pos[lo:, 1], out=dy)
+                dy *= dy
+                rows += dy
+                np.sqrt(rows, out=rows)
+                # The transforms run in place, in the float operations of
+                # 1 / (d + eps) and exp(-(d * d) / (2 sigma^2)).
+                if self.transform == TRANSFORM_INVERSE:
+                    rows += INVERSE_EPSILON
+                    np.divide(1.0, rows, out=rows)
+                elif self.transform == TRANSFORM_GAUSSIAN:
+                    rows *= rows
+                    np.negative(rows, out=rows)
+                    rows /= 2.0 * self.sigma * self.sigma
+                    np.exp(rows, out=rows)
+            rows[:, :hi - lo][low[:hi - lo, :hi - lo]] = 0.0
             yield lo, rows
 
 
@@ -107,7 +120,7 @@ def interaction_graph(bodies, transform: str = TRANSFORM_INVERSE, *,
         raise ValueError(f"unknown transform: {transform!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    pos = np.array([[b.position.x, b.position.y] for b in bodies], dtype=float)
+    pos = np.column_stack(columns(bodies, "position.x position.y"))
     return WeightedGraph(len(bodies), positions=pos, transform=transform, sigma=sigma)
 
 
@@ -119,11 +132,16 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
     under uniform scaling of all weights.  Raises on an empty graph (W = 0)
     and on a partition that is not a disjoint cover of all nodes.
 
-    One pass over the weight row blocks: the columns of a block are sorted
-    by group, and one reduceat gives every row's per-group sums.  Each row
-    keeps its total and its own-group sum, and W and the group sums are
-    math.fsum over those.  A single group covering every node therefore has
-    intra = incident = W bit for bit and scores exactly 0.0.
+    One pass over the upper-triangle row blocks, nodes sorted by group, so
+    each weight is computed once.  Every row p of group [s, e) keeps two row
+    sums (one reduceat per block): uo over its own group's later members and
+    ul over the later groups.  Its column sums are carried row by row in
+    order: ce over the earlier groups, saved and restarted at the group's
+    first row, and co over its own group's earlier members.  A node's
+    own-group sum is uo + co and its degree (uo + ul) + (ce + co); W and the
+    group sums are math.fsum over those.  No sum depends on _BLOCK_ROWS, and
+    a single group covering every node has intra = incident = W bit for bit,
+    so it scores exactly 0.0.
     """
     groups = [np.fromiter((int(i) for i in g), dtype=int) for g in partition]
     seen: set[int] = set()
@@ -137,24 +155,45 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
     if len(seen) != graph.n:
         raise ValueError(f"partition covers {len(seen)} of {graph.n} nodes")
 
-    groups = [g for g in groups if len(g)]
-    label = np.empty(graph.n, dtype=np.intp)  # each node's group, its column in a block's sums
-    for k, g in enumerate(groups):
+    n = graph.n
+    label = np.empty(n, dtype=np.intp)
+    for k, g in enumerate(g for g in groups if len(g)):
         label[g] = k
     order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
-    degree, own = np.empty(graph.n), np.empty(graph.n)
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
+    group_end = dict(zip(starts, starts[1:] + [n]))
+    end = np.repeat(list(group_end.values()), np.diff(starts + [n]))  # each row's e
+    uo, ul, ce, co = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     for lo, rows in graph._row_blocks(order):
-        sums = np.add.reduceat(rows, starts, axis=1)
-        degree[lo:lo + len(rows)] = sums.sum(axis=1)
-        own[lo:lo + len(rows)] = sums[np.arange(len(sums)), label[lo:lo + len(rows)]]
+        hi, m = lo + len(rows), n - lo
+        p = np.arange(lo, hi)
+        # Row p's segments, at base + column: lo..p (0.0s, thrown away, so no
+        # segment spills into the next row), p+1..e-1 and e..n-1.  Indices at
+        # the block's end would start empty segments and are left out.
+        base = (p - lo) * m - lo
+        at = np.stack([base + lo, base + p + 1, base + end[lo:hi]], axis=1).ravel()
+        keep, sums = at < rows.size, np.zeros(len(at))
+        sums[keep] = np.add.reduceat(rows.ravel(), at[keep])
+        # reduceat gives an empty segment's first element, not 0.0.
+        uo[lo:hi] = np.where(p + 1 < end[lo:hi], sums[1::3], 0.0)
+        ul[lo:hi] = np.where(end[lo:hi] < n, sums[2::3], 0.0)
+        # co carries every column's sum over the rows so far, added in row
+        # order by one reduce per stretch of rows between group starts.
+        cuts = [lo, *starts[bisect_right(starts, lo):bisect_left(starts, hi)], hi]
+        for a, b in zip(cuts, cuts[1:]):
+            if a in group_end:  # the carry of the group's columns is ce
+                e = group_end[a]
+                ce[a:e], co[a:e] = co[a:e], 0.0
+            rows[a - lo] += co[lo:]
+            np.add.reduce(rows[a - lo:b - lo], axis=0, out=co[lo:])
+    own, degree = uo + co, (uo + ul) + (ce + co)
     two_w = math.fsum(degree)
     if two_w == 0.0:
         raise ValueError("graph has zero total weight; modularity is undefined")
     q = 0.0
-    for g in groups:
-        intra = math.fsum(own[g]) / two_w
-        incident = math.fsum(degree[g]) / two_w
+    for s, e in group_end.items():
+        intra = math.fsum(own[s:e]) / two_w
+        incident = math.fsum(degree[s:e]) / two_w
         q += intra - incident * incident
     return q
 

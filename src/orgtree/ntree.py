@@ -165,8 +165,9 @@ class NTree:
         rows = np.flatnonzero((self.first[:n] >= n) & (self.coords[0] >= min_depth))
         rows = rows[np.argsort(self.first[rows])]
         ids = self.id[n:].tolist()
-        return {CellCoord(d, x, y): tuple(ids[f - n:f - n + k]) for d, x, y, f, k in zip(
-            *self.coords[:, rows].tolist(), self.first[rows].tolist(), self.count[rows].tolist())}
+        # Rows hold valid coordinates by construction, so CellCoord's checks are skipped.
+        return {tuple.__new__(CellCoord, c): tuple(ids[f - n:f - n + k]) for c, f, k in zip(
+            self.coords[:, rows].T.tolist(), self.first[rows].tolist(), self.count[rows].tolist())}
 
     def query_radius(self, center: Vec2, radius: float) -> list[int]:
         """Ids of the bodies query_radius_bodies returns, in the same order."""

@@ -1,9 +1,12 @@
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orgtree import metrics
 from orgtree.detect import CellSet, group_cells2, organizations_from
@@ -12,7 +15,7 @@ from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_RAW, WeightedGraph,
                              interaction_graph, modularity,
                              organization_partition)
 from orgtree.ntree import Body, build_tree
-from conftest import BOX_100, clustered_bodies, uniform_bodies
+from conftest import BOX_100, UNIT_BOX, clustered_bodies, uniform_bodies
 from oracles import (interaction_weights_reference, modularity_literal,
                      modularity_reference)
 
@@ -236,6 +239,74 @@ class TestBlockwiseModularity:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
+
+    def test_memory_of_singletons_stays_far_below_the_matrix(self):
+        n = 2000
+        bodies = uniform_bodies(n, seed=9, box=BOX_100)
+        tracemalloc.start()
+        try:
+            graph = interaction_graph(bodies)
+            modularity(graph, [[i] for i in range(n)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
+
+    @pytest.mark.parametrize("rows", [1, 5, 64, 200])
+    def test_each_pair_weight_is_computed_once(self, monkeypatch, rows):
+        monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+        blocks = WeightedGraph._row_blocks
+        entries = []
+
+        def counted(graph, order):
+            for lo, block in blocks(graph, order):
+                entries.append(block.size)
+                yield lo, block
+
+        monkeypatch.setattr(WeightedGraph, "_row_blocks", counted)
+        n = 131
+        bodies = uniform_bodies(n, seed=8, box=BOX_100)
+        detected = detected_partition(bodies, 2, 4)
+        for graph in both_graphs(bodies):
+            for partition in (detected, [range(n)], [[i] for i in range(n)]):
+                entries.clear()
+                modularity(graph, partition)
+                assert sum(entries) <= n * (n - 1) // 2 + n * rows
+
+
+@st.composite
+def scenes(draw):
+    """(bodies, partition): random labels over up to 12 groups, some empty."""
+    n = draw(st.integers(2, 140))
+    k = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    partition = [[i for i, g in enumerate(labels) if g == x] for x in range(k)]
+    return uniform_bodies(n, draw(st.integers(0, 10 ** 6)), UNIT_BOX), partition
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenes(), st.sampled_from(TRANSFORM_CASES))
+@example(([Body(i, 0, Vec2(0.1 * i, 0.0), Vec2(0.0, 0.0), 1.0) for i in range(7)],
+          [[i] for i in range(7)]), ("inverse", 1.0))
+@example(([Body(i, 0, Vec2(0.1 * i, 0.3), Vec2(0.0, 0.0), 1.0) for i in range(9)],
+          [[], [8], [0, 2, 4, 6], [], [1, 3, 5, 7]]), ("gaussian", 0.5))
+def test_upper_triangle_modularity_on_random_partitions(scene, case):
+    """Empty groups, singletons, and groups shorter or longer than a block,
+    the last sorted node closing its group, against the dense reference and
+    for every block size."""
+    bodies, partition = scene
+    n = len(bodies)
+    graphs = both_graphs(bodies, *case)
+    want = modularity_reference(graphs[1].weights, partition)
+    hexes = set()
+    for rows in (1, 2, 5, 64, n + 1):
+        with mock.patch.object(metrics, "_BLOCK_ROWS", rows):
+            for graph in graphs:
+                q = modularity(graph, partition)
+                assert abs(q - want) <= 1e-12
+                hexes.add(q.hex())
+                assert modularity(graph, [range(n)]) == 0.0
+    assert len(hexes) == 1  # the same bits from either graph and any block size
 
 
 class TestOrganizationPartition:
