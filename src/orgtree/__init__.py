@@ -5,7 +5,7 @@ with Barnes-Hut style acceleration, boids neighborhood queries, and detection
 of dense groups as connected components of deep leaf cells.
 """
 
-from .boids import SimParams, SpeciesParams, WorldState, make_world, step_velocity, step_world
+from .boids import SimParams, SpeciesParams, WorldState, make_world, step_world
 from .config import Config, load_config
 from .detect import (CellSet, Organization, group_cells, group_cells2,
                      organizations_from)

@@ -23,17 +23,18 @@ max_speed.  All boids read the pre-step state only, then positions advance by
 dt * v' and the tree is rebuilt, so the update is synchronous and independent
 of processing order.
 
-The update runs batched over the tree's rows: one tree-pruned radius query
-(ntree.radius_hits) finds every boid's neighbours leaf by leaf depth-first,
-every term is computed with the same float operations as a
-one-boid-at-a-time loop, and each sum is one np.bincount over (boid, same or
-other species) bins.  bincount adds each term to its bin in index order from
-0.0, which is neighbour order, as the loop does; sum and reduce would add
-pairwise.  The result therefore equals that scalar loop bit for bit; the
-loop itself is kept as the test reference (tests/oracles.py).  A pair whose
-d^3 is 0 (coincident, or so close that it underflows) raises
-ZeroDistanceError for the pair the scalar loop meets first: the lowest boid
-id, its same-species neighbours before the others.
+step_world is the one update, batched over every boid and the tree's rows:
+one tree-pruned radius query (ntree.radius_hits) finds every boid's
+neighbours leaf by leaf depth-first, every term is computed with the same
+float operations as a one-boid-at-a-time loop, and each sum is one
+np.bincount over (boid, same or other species) bins.  bincount adds each
+term to its bin in index order from 0.0, which is neighbour order, as the
+loop does; sum and reduce would add pairwise.  The result therefore equals
+that scalar loop bit for bit; the loop itself is kept as the test reference
+(tests/oracles.py), and the tests read one boid's velocity from a batched
+call.  A pair whose d^3 is 0 (coincident, or so close that it underflows)
+raises ZeroDistanceError for the pair the scalar loop meets first: the
+lowest boid id, its same-species neighbours before the others.
 
 The move is numpy over whole arrays too.  Reflection folds with a scalar
 fold's operations per bounce, up to 64 bounces, and a jump of many box
@@ -43,7 +44,7 @@ displacement is a DynamicsError naming the boid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,65 +114,53 @@ class WorldState:
     bodies: tuple[Body, ...]
     tree: NTree
     step: int
-    seed: int
     params: SimParams
-    by_id: dict[int, Body] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "by_id", {b.id: b for b in self.bodies})
 
 
 def make_world(bodies, params: SimParams, seed: int = 0) -> WorldState:
-    """Initial state from a body list; bodies are sorted by id and validated."""
+    """Initial state from a body list, sorted by id and validated.  `seed` is
+    not read, as no step draws a random number; it stays for its callers."""
     ordered = tuple(sorted(bodies, key=lambda b: b.id))
     for b in ordered:
         if b.species >= len(params.species):
             raise ValueError(f"body {b.id} references unknown species {b.species}")
     tree = build_tree(ordered, params.box, params.capacity, params.max_depth)
-    return WorldState(bodies=ordered, tree=tree, step=0, seed=seed, params=params)
+    return WorldState(bodies=ordered, tree=tree, step=0, params=params)
 
 
 @np.errstate(all="ignore")  # like the scalar loop: inf and NaN pass silently
-def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Post-update velocities of every body in id order, or of body j only.
-
-    Neighbours come from ntree.radius_hits, so every target gets exactly its
-    scalar neighbour list in the same order.
-    Each steering term is built with the same float operations as the scalar
-    loop and summed in neighbour order, so the result equals that loop bit
-    for bit.
-    """
+def _velocities(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
+    """Post-update velocities of every body, in id order: the scalar loop's
+    bits, from its neighbour lists in its order (module docstring)."""
     params, tree = state.params, state.tree
     n = len(tree.first) - 1
-    # Bodies in depth-first order, the tree's body rows.
+    # Every body is a target, depth-first as the tree's body rows, so the
+    # neighbourhoods of a chunk are alike.
     bx, by, bid = tree.cx[n:], tree.cy[n:], tree.id[n:]
     bvx, bvy, bsp = (c[tree.order] for c in columns(state.bodies, "velocity.x velocity.y species"))
-    # Targets in depth-first order keep the neighbourhoods of a chunk alike.
-    targets = slice(None) if j is None else bid == state.by_id[j].id
-    tx, ty, tvx, tvy, tsp, tid = (c[targets] for c in (bx, by, bvx, bvy, bsp, bid))
 
     def coef(name: str) -> np.ndarray:  # a species setting per target
-        return np.array([getattr(sp, name) for sp in params.species])[tsp.astype(np.intp)]
+        return np.array([getattr(sp, name) for sp in params.species])[bsp.astype(np.intp)]
 
     # Per term, its sums over the same species (half 0) and over the others
     # (half 1): w, w * x, w * y, sep_x, sep_y, aw * vx, aw * vy, then the count.
-    sums = np.zeros((8, 2, len(tx)))
+    sums = np.zeros((8, 2, len(bx)))
     singular: list[tuple] = []
-    for a, b, t, nb, d2 in radius_hits(tree, tx, ty, coef("neighbor_radius")):
-        mine = bid[nb] != tid[t]
+    for a, b, t, nb, d2 in radius_hits(tree, bx, by, coef("neighbor_radius")):
+        mine = bid[nb] != bid[t]
         t, nb, d2 = t[mine], nb[mine], d2[mine]
-        other = bsp[nb] - tsp[t]  # nonzero for a neighbour of another species
+        other = bsp[nb] - bsp[t]  # nonzero for a neighbour of another species
         d3 = d2 * np.sqrt(d2)
         zero = np.flatnonzero(d3 <= 0.0)  # d2 is 0, or so small that d2^1.5 underflows
         if len(zero):
-            singular.extend(zip(tid[t[zero]].tolist(), (other[zero] != 0).tolist(),
+            singular.extend(zip(bid[t[zero]].tolist(), (other[zero] != 0).tolist(),
                                 zero.tolist(), bid[nb[zero]].tolist(), d2[zero].tolist()))
         m = b - a
         key = t - a + m * (other != 0)  # the target's bin in the term's half
         sums[7, :, a:b] = np.bincount(key, minlength=2 * m).reshape(2, m)
         w = 1.0 / d2
         aw = 1.0 / (sums[7, 0, t] * d2)
-        sep_x, sep_y = (tx[t] - bx[nb]) / d3, (ty[t] - by[nb]) / d3
+        sep_x, sep_y = (bx[t] - bx[nb]) / d3, (by[t] - by[nb]) / d3
         for i, term in enumerate((w, w * bx[nb], w * by[nb], sep_x, sep_y,
                                   aw * bvx[nb], aw * bvy[nb])):
             sums[i, :, a:b] = np.bincount(key, term, 2 * m).reshape(2, m)
@@ -184,14 +173,14 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
 
     (sw, _), (csx, _), (csy, _), (ssx, osx), (ssy, osy), (asx, _), (asy, _), (card, _) = sums
     if params.cohesion_mode == COHESION_LITERAL:
-        cx, cy = csx - tx, csy - ty
+        cx, cy = csx - bx, csy - by
     else:
-        cx, cy = csx / sw - tx, csy / sw - ty
+        cx, cy = csx / sw - bx, csy / sw - by
     cx, cy = np.where(card > 0, cx, 0.0), np.where(card > 0, cy, 0.0)
     alpha, beta, gamma, delta, isg = map(coef, (
         "alpha", "beta", "gamma", "delta", "inter_species_gamma"))
-    vx = alpha * tvx + beta * cx + gamma * ssx + delta * asx + isg * osx
-    vy = alpha * tvy + beta * cy + gamma * ssy + delta * asy + isg * osy
+    vx = alpha * bvx + beta * cx + gamma * ssx + delta * asx + isg * osx
+    vy = alpha * bvy + beta * cy + gamma * ssy + delta * asy + isg * osy
     v2 = vx * vx + vy * vy
     limit = coef("max_speed")
     fast = v2 > limit * limit
@@ -204,19 +193,8 @@ def _velocities(state: WorldState, j: int | None = None) -> tuple[np.ndarray, np
         vx[over] = np.nextafter(vx[over], 0.0)
         vy[over] = np.nextafter(vy[over], 0.0)
         over = over[vx[over] * vx[over] + vy[over] * vy[over] > limit[over] * limit[over]]
-    if j is None:  # depth-first to id order: the tree was built from state.bodies
-        vx[tree.order], vy[tree.order] = vx.copy(), vy.copy()
+    vx[tree.order], vy[tree.order] = vx.copy(), vy.copy()  # depth-first to id order
     return vx, vy
-
-
-def step_velocity(state: WorldState, j: int) -> Vec2:
-    """Post-update velocity of body j, computed from the pre-step state only.
-
-    A one-target call of the batched update that step_world runs for every
-    boid at once.
-    """
-    vx, vy = _velocities(state, j)
-    return Vec2(float(vx[0]), float(vy[0]))
 
 
 def _reflect(x: np.ndarray, v: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -277,5 +255,4 @@ def step_world(state: WorldState) -> WorldState:
     moved = tuple(Body(b.id, b.species, Vec2(x, y), Vec2(u, v), b.charge) for b, x, y, u, v in
                   zip(state.bodies, px.tolist(), py.tolist(), vx.tolist(), vy.tolist()))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
-    return WorldState(bodies=moved, tree=tree, step=state.step + 1,
-                      seed=state.seed, params=params)
+    return WorldState(bodies=moved, tree=tree, step=state.step + 1, params=params)

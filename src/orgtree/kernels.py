@@ -15,21 +15,21 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
-The tree sums walk the tree's rows (ntree.NTree) in one sweep (_group_fields)
-over groups of targets (Barnes 1990): tree_fields makes each leaf's bodies a
-group, tree_field its point a group of one.  One level-synchronous frontier
-loop (_walk) does every walk, with the opening test passed in.  A (group,
-row) pair whose test (_settled) comes out the same for every target of the
-group is settled once, and only the other pairs continue target by target
-(_far).  The group tests bound each target's squared distance d2 by the same
-float operations applied to the edges of the bounding box of the group's
-targets.  Rounding is monotone, so the bounds hold for every target bit for
-bit, with no margin: side^2 < theta^2 * (least d2) means every target takes
-the row as one term, and not side^2 < theta^2 * (greatest d2) means none
-does.  Every target therefore keeps exactly the terms of its own depth-first
-walk, and the result equals that walk bit for bit at every theta.  Scratch
-memory is bounded per chunk of groups and per block of about _BLOCK_TERMS
-terms.
+The tree sums walk the tree's rows (ntree.NTree).  One level-synchronous
+frontier loop (_walk) does every walk, with the opening test passed in.
+tree_field walks its one point with the per-target test (_far).  tree_fields
+sweeps groups of targets (_group_fields; Barnes 1990), each leaf's bodies
+one group: a (group, row) pair whose test (_settled) comes out the same for
+every target of the group is settled once, and only the other pairs continue
+target by target (_far).  The group tests bound each target's squared
+distance d2 by the same float operations applied to the edges of the
+bounding box of the group's targets.  Rounding is monotone, so the bounds
+hold for every target bit for bit, with no margin:
+side^2 < theta^2 * (least d2) means every target takes the row as one term,
+and not side^2 < theta^2 * (greatest d2) means none does.  Every target
+therefore keeps exactly the terms of its own depth-first walk, and the
+result equals that walk bit for bit at every theta.  Scratch memory is
+bounded per chunk of groups and per block of about _BLOCK_TERMS terms.
 """
 
 from __future__ import annotations
@@ -282,18 +282,19 @@ def _spread(g: np.ndarray, row: np.ndarray, start: np.ndarray, end: np.ndarray,
     return t, row
 
 
-def _group_fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
-                  start: np.ndarray, params: KernelParams) -> np.ndarray:
-    """The x fields, then the y fields, at targets (tx, ty) with ids tid (-1
-    for none), NaN where _block_sums gives NaN: the one field sweep.
+def _group_fields(tree: NTree, start: np.ndarray, params: KernelParams) -> np.ndarray:
+    """The x fields, then the y fields, at the tree's bodies in depth-first
+    order, NaN where _block_sums gives NaN: the group sweep.
 
-    Group k is targets start[k] .. start[k + 1] - 1, the last group running
+    Group k is bodies start[k] .. start[k + 1] - 1, the last group running
     to the end.  Chunks of consecutive groups walk as groups (_walk with
     _settled); a chunk's unsettled pairs continue target by target (_walk
     with _far), and its far pairs are summed in blocks of targets sized from
     the terms per target of the last block, each target skipping its own
     body there.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
     """
+    n = len(tree.first) - 1
+    tx, ty, tid = tree.cx[n:], tree.cy[n:], tree.id[n:]
     end = np.append(start[1:], len(tx))
     bbox = np.stack([np.minimum.reduceat(tx, start), np.minimum.reduceat(ty, start),
                      np.maximum.reduceat(tx, start), np.maximum.reduceat(ty, start)])
@@ -305,7 +306,7 @@ def _group_fields(tree: NTree, tx: np.ndarray, ty: np.ndarray, tid: np.ndarray,
     while g0 < len(start):
         g1 = min(g0 + chunk, len(start))
         a, stop = start[g0], end[g1 - 1]
-        g = np.arange(g0, g1 if len(tree.id) else g0)
+        g = np.arange(g0, g1)
         far, unsettled = _walk(tree, groups, g, np.zeros_like(g))
         (wt, wrow), _ = _walk(tree, targets, *_spread(*unsettled, start, end, a, stop))
         chunk = _pow2(_BLOCK_TERMS * (g1 - g0) / max(len(far[0]), 1))
@@ -350,20 +351,20 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
     by body, skipping target_id.  A node whose charges cancel has no center
     and always opens, as does one whose box holds the target: with signed
     charges its far-off center could pass the test and fold in the target.
-    The point walks as a group of one, which settles every pair.  A sum that
-    is not finite walks again with _far, and raises as the walk does or is
-    summed in the walk's order.
+    The point walks alone (_walk with _far).  A sum that is not finite
+    raises as the depth-first walk does, or is summed in the walk's order.
     """
-    tx, ty, tid = np.array([target.x]), np.array([target.y]), np.array([max(target_id, -1)])
-    zero = np.zeros(1, dtype=np.intp)  # the group's start, the target and the root row
-    f = _group_fields(tree, tx, ty, tid, zero, params)
+    tx, ty, tid = np.array([target.x]), np.array([target.y]), max(target_id, -1)
+    th2 = params.theta * params.theta
+    root = np.zeros(min(len(tree.id), 1), dtype=np.intp)  # the target and the root row, if any
+    (_, row), _ = _walk(tree, lambda t, row: _far(tree, tx[t], ty[t], row, th2), root, root)
+    row = row[tree.id[row] != tid]  # the target skips its own body
+    t = np.zeros_like(row)  # every term is the one target's
+    v = _terms(tree, tx, ty, t, row, params)
+    f = _block_sums(t, v, 1)
     if np.isnan(f).any():
-        th2 = params.theta * params.theta
-        (_, row), _ = _walk(tree, lambda t, row: _far(tree, tx[t], ty[t], row, th2), zero, zero)
-        row = row[tree.id[row] != tid[0]]  # the target skips its own body
-        v = _terms(tree, tx, ty, np.zeros_like(row), row, params)
-        return _depth_first(tree, int(tid[0]), row, v[:len(row)], v[len(row):])
-    return Vec2(*f[:, 0].tolist())
+        return _depth_first(tree, tid, row, v[:len(row)], v[len(row):])
+    return Vec2(*f.tolist())
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
@@ -379,8 +380,7 @@ def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     start = np.zeros(len(tree.bodies), dtype=bool)  # a mask, not np.sort: no sort code paged in
     start[first[np.flatnonzero(first[:n] >= n)] - n] = True  # each leaf's first body
     f = np.empty((2, len(tree.bodies)))  # in input order
-    f[:, tree.order] = _group_fields(tree, tree.cx[n:], tree.cy[n:], tree.id[n:],
-                                     np.flatnonzero(start), params)
+    f[:, tree.order] = _group_fields(tree, np.flatnonzero(start), params)
     # Made in input order, the list's Vec2s lie in memory in list order; made
     # depth-first, they lie scattered, and a full garbage collection over
     # them took about 15% longer.

@@ -15,9 +15,10 @@ breadth-first, then the bodies depth-first (Z/Morton order; Warren & Salmon
 1993).  Barnes-Hut fields, boids neighbourhoods and detection all read these
 rows.  `radius_hits` is the one radius query over them, for many centers at
 once; `NTree.query_radius_bodies` is its one-center call.  `NTree.root`
-builds a read-only `Node` view of the rows on demand for callers that walk
-the tree as objects.  A node's children and a leaf's bodies are spans of
-rows, and `_spans` is the one step every build pass and walk expands them by.
+builds a read-only `Node` view of the rows on demand, for the SVG renderer
+and the callers that walk the tree as objects.  A node's children and a
+leaf's bodies are spans of rows, and `_spans` is the one step every build
+pass and walk expands them by.
 """
 
 from __future__ import annotations
@@ -188,10 +189,6 @@ class NTree:
         hits = [body for *_, body, _ in radius_hits(
             self, np.array([center.x]), np.array([center.y]), np.array([radius], dtype=float))]
         return [self.bodies[i] for i in self.order[np.concatenate(hits)].tolist()]
-
-    def leaf_at(self, coord: CellCoord) -> Node | None:
-        """The leaf with exactly this coordinate, or None when no such leaf exists."""
-        return next((leaf for leaf in self.leaves() if leaf.coord == coord), None)
 
 
 @np.errstate(all="ignore")  # like Python floats: overflow and NaN in a huge box pass silently

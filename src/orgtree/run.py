@@ -88,7 +88,7 @@ def run_simulation(config: Config, out_dir: str | Path, steps: int) -> Path:
         raise ConfigError(f"steps must be non-negative, got {steps}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    state = make_world(place_bodies(config), config.sim_params(), config.seed)
+    state = make_world(place_bodies(config), config.sim_params())
     trace_path = out_dir / TRACE_NAME
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(header_dict(config.to_dict()), "the trace header") + "\n")

@@ -115,9 +115,10 @@ def _tail_step(line: bytes) -> int | None:
 class TraceData:
     """A trace's decoded header and its frame lines, as (line number, step, line).
 
-    A line whose tail gives its step (`_tail_step`) is kept as bytes and
-    decoded each time its frame is asked for; any other line was decoded by
-    `read_trace` and has step None.
+    A line whose tail gives its step (`_tail_step`) is kept as its byte span
+    in the file, (offset, length), and read and decoded each time its frame
+    is asked for; any other line was decoded by `read_trace` and has step
+    None.
     """
     path: Path
     header: dict[str, Any]
@@ -126,6 +127,13 @@ class TraceData:
     def _frame(self, lineno: int, step: int | None, line: Any) -> dict[str, Any]:
         if step is None:
             return line
+        offset, length = line
+        try:
+            with self.path.open("rb") as fh:
+                fh.seek(offset)
+                line = fh.read(length)
+        except OSError as exc:
+            raise ConfigError(f"cannot read trace {self.path}: {exc}") from exc
         frame = _decode_frame(self.path, lineno, line)
         if frame.get("step") != step:
             raise ConfigError(f"{self.path}:{lineno}: frame step {frame.get('step')!r} "
@@ -134,11 +142,11 @@ class TraceData:
 
     @property
     def frames(self) -> list[dict[str, Any]]:
-        """Every frame in file order; decodes every line kept as bytes."""
+        """Every frame in file order; reads and decodes every line kept as a span."""
         return [self._frame(*entry) for entry in self.lines]
 
     def frame_at(self, step: int) -> dict[str, Any]:
-        """The first frame whose step equals `step`, decoding no other line."""
+        """The first frame whose step equals `step`, reading no other line."""
         for lineno, line_step, line in self.lines:
             if (line.get("step") if line_step is None else line_step) == step:
                 return self._frame(lineno, line_step, line)
@@ -148,26 +156,32 @@ class TraceData:
 def read_trace(path: str | Path) -> TraceData:
     """Decode a trace's header and every frame line whose step its tail does not give.
 
-    A malformed line whose tail gives a step is reported only when its frame
-    is asked for, or when `frames` is read.
+    A frame line whose tail gives its step is kept as its byte span, so the
+    read holds one line at a time.  A malformed line whose tail gives a step
+    is reported only when its frame is asked for, or when `frames` is read.
     """
     path = Path(path)
-    try:  # line by line, so the file's bytes are never held twice; lines end as in splitlines
+    numbered, offset = [], 0  # (line number, step, span or bytes) of the non-blank lines
+    try:  # line by line; lines end as in splitlines, each line's end one of \r\n, \r, \n
         with path.open("rb", buffering=1 << 16) as fh:  # frame lines run to 100s of KiB
-            numbered = [(n, line) for n, line in enumerate(
-                (part for raw in fh for part in raw.splitlines()), start=1) if line]
+            parts = (part for raw in fh for part in raw.splitlines(keepends=True))
+            for lineno, part in enumerate(parts, start=1):
+                line = part.rstrip(b"\r\n")
+                step = _tail_step(line) if numbered else None  # the header is decoded
+                if line:
+                    numbered.append((lineno, step, line if step is None else (offset, len(line))))
+                offset += len(part)
+                del part, line  # hold no line's bytes while the next is read
     except OSError as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     if not numbered:
         raise ConfigError(f"{path}: empty trace")
-    header = _decode(path, *numbered[0])
-    lines = []
-    for lineno, line in numbered[1:]:
-        step = _tail_step(line)
-        lines.append((lineno, step, line if step is not None
-                      else _decode_frame(path, lineno, line)))
+    (lineno, _, line), *frames = numbered
+    header = _decode(path, lineno, line)
+    lines = tuple((n, step, line if step is not None else _decode_frame(path, n, line))
+                  for n, step, line in frames)
     if not isinstance(header, dict) or "config" not in header or "version" not in header:
         raise ConfigError(f"{path}: first line is not a trace header")
     if header["version"] != TRACE_VERSION:
         raise ConfigError(f"{path}: unsupported trace version {header['version']!r}")
-    return TraceData(path=path, header=header, lines=tuple(lines))
+    return TraceData(path=path, header=header, lines=lines)

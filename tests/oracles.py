@@ -6,7 +6,8 @@ instead of tree traversal, linear scans instead of pruned queries, one boid and
 one neighbour at a time instead of numpy batches, and a dense weight matrix
 instead of row blocks, and a trace reader that decodes every line.  None of it imports the grouping, field, query or
 steering code under test beyond the plain data types and the integer
-cell-contact test.
+cell-contact test; the test entry points at the end, which ask the code
+under test about one body or one cell, are the exception.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
-                           COHESION_NORMALIZED, WorldState)
+                           COHESION_NORMALIZED, WorldState, _velocities)
 from orgtree.detect import CellSet
 from orgtree.errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
@@ -496,7 +497,7 @@ def neighborhood(state: WorldState, j: int, same_species: bool) -> list[int]:
     The radius test is inclusive.  same_species=True keeps neighbors of j's
     species, False keeps every other species.
     """
-    body = state.by_id[j]
+    body = by_id(state)[j]
     radius = state.params.species[body.species].neighbor_radius
     out = []
     for nb in query_radius_walk(state.tree, body.position, radius):
@@ -579,14 +580,15 @@ def alignment(j: Body, neighbors: list[Body]) -> Vec2:
 def step_velocity_loop(state: WorldState, j: int) -> Vec2:
     """Post-update velocity of body j by a scalar loop over its neighbours.
 
-    The reference for the batched boids.step_velocity and step_world.
+    The reference for the batched step_world, one boid of which
+    step_velocity below reads.
     Equivalent, float for float, to combining the cohesion, separation, and
     alignment functions above; the loop just shares one distance computation
     per neighbor instead of recomputing it per term.  A pair whose distance
     cubed underflows to 0 raises like a coincident pair, at the first such
     neighbour met: same-species neighbours first, in query order.
     """
-    body = state.by_id[j]
+    body = by_id(state)[j]
     sp = state.params.species[body.species]
     species = body.species
     same: list[Body] = []
@@ -725,8 +727,7 @@ def step_world_loop(state: WorldState) -> WorldState:
             y = wrap_mod(y, box.lo.y, box.hi.y)
         moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(vx, vy), b.charge))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
-    return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1,
-                      seed=state.seed, params=params)
+    return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1, params=params)
 
 
 def read_trace_reference(path) -> tuple[dict[str, Any], list[Any]]:
@@ -763,3 +764,27 @@ def frame_at_reference(frames, step: int) -> dict[str, Any]:
         if frame.get("step") == step:
             return frame
     raise ConfigError(f"trace has no frame for step {step}")
+
+
+# Test entry points: one-target views of the batched code under test, not
+# references.  src/ keeps one path per job; the tests ask it one body or one
+# cell at a time through these.
+
+def by_id(state: WorldState) -> dict[int, Body]:
+    """The state's bodies keyed by id."""
+    return {b.id: b for b in state.bodies}
+
+
+def step_velocity(state: WorldState, j: int) -> Vec2:
+    """Post-update velocity of body j: its entry of one batched update of
+    every boid, as step_world computes it.  A coincident pair anywhere in
+    the state raises the batch's ZeroDistanceError."""
+    vx, vy = _velocities(state)
+    k = [b.id for b in state.bodies].index(j)
+    return Vec2(float(vx[k]), float(vy[k]))
+
+
+def leaf_at(tree, coord: CellCoord) -> Node | None:
+    """The leaf of tree.leaves() with exactly this coordinate, or None when
+    no such leaf exists."""
+    return next((leaf for leaf in tree.leaves() if leaf.coord == coord), None)

@@ -1,14 +1,19 @@
-"""The benchmark's tracer can still find every function it wraps.
+"""The benchmark's tracer can still find every function it wraps, and its
+workloads still run.
 
 `perfbench/tracing.py` replaces module and class attributes while a traced
 op runs, looking each up with `vars(owner)[attr]`.  A refactor that moves,
 renames or stops calling through one of them would make `run.py --trace 1`
 fail or report an empty layer; these tests catch that in the unit suite.
-The module is imported from its file and not modified.
+Likewise a change that drops or re-signatures a name `perfbench/workloads.py`
+calls fails here rather than in a benchmark run.  The modules are imported
+from their files and not modified.
 """
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from conftest import BOX_100, clustered_bodies
 from oracles import build_reference, collect_bodies, linear_radius
@@ -97,4 +102,15 @@ def test_the_organize_trace_gives_every_step_from_its_tail(tmp_path):
     organize = load("workloads").Organize(1, tmp_path)
     frames = read_trace(organize.trace_path).lines
     assert [step for _, step, _ in frames] == list(range(organize.FRAMES))
-    assert all(isinstance(line, bytes) for _, _, line in frames)
+    assert all(isinstance(span, tuple) for _, _, span in frames)  # (offset, length), undecoded
+
+
+@pytest.mark.parametrize("name", ["flock", "field", "organize"])
+def test_each_workload_runs_one_op_and_passes_its_checks(tmp_path, name):
+    """One round of one op through every hook the benchmark calls untimed."""
+    workload = load("workloads").WORKLOADS[name](1, tmp_path)
+    ctx = workload.setup()
+    out = workload.op(ctx, 0)
+    assert workload.check_op(ctx, 0, out)
+    workload.close(ctx)
+    assert workload.check_run() == []

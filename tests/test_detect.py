@@ -7,7 +7,7 @@ from orgtree.detect import (CellSet, group_cells, group_cells2,
 from orgtree.geometry import CellCoord, Vec2, cells_touch
 from orgtree.ntree import Body, build_tree
 from conftest import UNIT_BOX, uniform_tree
-from oracles import brute_force_groups, neighbors_of, rational_cells_touch
+from oracles import brute_force_groups, leaf_at, neighbors_of, rational_cells_touch
 
 
 def random_cut(seed, n_max=400):
@@ -214,7 +214,7 @@ class TestOrganizationsFrom:
         bodies = [Body(0, 0, Vec2(0.1, 0.1), Vec2(0.0, 0.0)),
                   Body(1, 0, Vec2(0.2, 0.2), Vec2(0.0, 0.0))]
         tree = build_tree(bodies, UNIT_BOX, 1)
-        assert tree.leaf_at(CellCoord(1, 1, 1)).count == 0
+        assert leaf_at(tree, CellCoord(1, 1, 1)).count == 0
         assert organizations_from([[CellCoord(1, 1, 1)]], tree) == []
         orgs = organizations_from([[CellCoord(1, 1, 1)], tree.leaf_cells()], tree)
         assert [o.members for o in orgs] == [(0, 1)]

@@ -624,7 +624,7 @@ def test_group_walk_equals_the_scalar_walk_bitwise(seed, kind, theta, capacity):
         assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == walked
         n = len(tree.first) - 1  # each leaf's bodies one group, with no per-target fallback
         start = np.flatnonzero(np.isin(np.arange(len(bodies)) + n, tree.first[:n]))
-        grouped = kernels._group_fields(tree, tree.cx[n:], tree.cy[n:], tree.id[n:], start, params)
+        grouped = kernels._group_fields(tree, start, params)
         assert [(x.hex(), y.hex()) for x, y in grouped.T[np.argsort(tree.order)].tolist()] == walked
 
 

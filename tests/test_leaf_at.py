@@ -1,8 +1,9 @@
-"""NTree.leaf_at: every leaf and empty child is found, any other coordinate is not."""
+"""oracles.leaf_at: every leaf and empty child is found, any other coordinate is not."""
 
 import pytest
 
 from conftest import UNIT_BOX, uniform_bodies
+from oracles import leaf_at
 from orgtree.geometry import CellCoord, child_coords
 from orgtree.ntree import build_tree
 
@@ -17,9 +18,9 @@ def test_leaf_at_finds_exactly_the_leaves(n, capacity, max_depth):
     deepest = max(leaf.coord.depth for leaf in leaves)
     others = set()
     for leaf in leaves:  # every leaf, empty children included
-        assert tree.leaf_at(leaf.coord) == leaf
+        assert leaf_at(tree, leaf.coord) == leaf
         others.update(child_coords(leaf.coord))  # below a leaf: absent
     others.update(CellCoord(d, 0, 0) for d in range(deepest + 3))  # internal, or deeper
     others.update(CellCoord(d, (1 << d) - 1, 0) for d in range(deepest + 3))
     for coord in others - {leaf.coord for leaf in leaves}:
-        assert tree.leaf_at(coord) is None
+        assert leaf_at(tree, coord) is None

