@@ -15,27 +15,21 @@ independent of the order in which terms are produced, and at theta = 0, where
 the tree visits every body individually, the tree result equals the direct
 result bit for bit.  Non-finite terms and sums raise, naming the pair or target.
 
-The tree sums walk the tree's rows (ntree.NTree).  One level-synchronous
-frontier loop (_walk) does every walk, with the opening test passed in.
-tree_field walks its one point with the per-target test (_far).  tree_fields
-sweeps groups of targets (_group_fields; Barnes 1990), each leaf's bodies
-one group: a (group, row) pair whose test (_settled) comes out the same for
-every target of the group is settled once, and only the other pairs continue
-target by target (_far).  The group tests bound each target's squared
-distance d2 by the same float operations applied to the edges of the
-bounding box of the group's targets.  Rounding is monotone, so the bounds
-hold for every target bit for bit, with no margin:
-side^2 < theta^2 * (least d2) means every target takes the row as one term,
-and not side^2 < theta^2 * (greatest d2) means none does.  Every target
-therefore keeps exactly the terms of its own depth-first walk, and the
-result equals that walk bit for bit at every theta.  Scratch memory is
-bounded per chunk of groups and per block of about _BLOCK_TERMS terms.
+The tree sums walk the tree's rows (ntree.NTree) with one level-synchronous
+frontier loop over (owner, row) pairs (_walk), the opening test passed in.
+tree_field's point owns its pairs alone (_far).  tree_fields walks (node,
+row) pairs from the top of the tree (_sweep; Dehnen 2002, Gray & Moore
+2001): a node owns a pair for all the targets below it, and a pair whose
+test (_settled) differs between them splits the node, down to single
+targets.  _settled applies the walk's float operations to the edges of the
+box of the node's targets; rounding is monotone, so its bounds hold for every
+target bit for bit, and each target keeps exactly the terms of its own
+depth-first walk at every theta, summed as one contiguous segment.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +41,7 @@ from .ntree import Body, NTree, _pow2, _spans
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
 MODES = (MODE_GRAVITY, MODE_COULOMB)
-_BLOCK_TERMS = 8192  # terms one block of targets aims to hold
+_BLOCK_TERMS = 16384  # terms one block of targets aims to hold
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,108 +139,120 @@ def _summed(xs, ys, target: int, sources: list, skip: int) -> Vec2:
 
 
 @np.errstate(all="ignore")  # non-finite sums go to math.fsum
-def _fsums(owner: np.ndarray, v: np.ndarray, m: int, huge=math.fsum) -> np.ndarray:
-    """math.fsum(v[owner == k]) for each k < m, bit for bit, with no sort.
+def _fsums(v: np.ndarray, size: np.ndarray, huge=math.fsum) -> np.ndarray:
+    """math.fsum of each segment of v, the k-th its next size[k] terms, bit
+    for bit, in any order of the terms within a segment.
 
     Each term splits exactly into q + r (Rump, Ogita & Oishi 2008): q on the
     grid 2^-53 sigma, sigma a power of two above twice the sum's |v| total,
-    so q sums exactly in any order, and r, whose sum errs by less than b.
+    so q sums exactly in any order, and |r| <= 2^-53 sigma, so the sum of a
+    segment's k r's errs by less than b = (2k + 4) k 2^-106 sigma.
     The rounded total stands if its TwoSum error plus b is strictly below
     half the gap to the next double toward zero (the nearer one); math.fsum
     redoes the rest, zero totals and |v| totals outside [2^-900, 2^900],
     except that huge sums a total above 2^900: fsum meets the terms in v's
     order, and whether an intermediate sum overflows depends on it.
     """
-    n = np.bincount(owner, minlength=m)
-    s = np.abs(v)
-    a = np.bincount(owner, s, m)
-    np.take(np.ldexp(1.0, np.frexp(a)[1] + 1), owner, out=s)  # sigma per term
+    start, full = np.cumsum(size) - size, size > 0
+
+    def sums(x):  # np.add.reduceat sums only segments of one term or more
+        out = np.zeros(len(size))
+        out[full] = np.add.reduceat(x, start[full]) if len(x) else 0.0
+        return out
+
+    a = sums(np.abs(v))
+    sigma = np.ldexp(1.0, np.frexp(a)[1] + 1)
+    s = np.repeat(sigma, size)
     q = s + v
     q -= s
-    r = np.subtract(v, q, out=s)
-    tau, c = np.bincount(owner, q, m), np.bincount(owner, r, m)
-    b = (2.0 * n + 4.0) * np.bincount(owner, np.abs(r, out=r), m) * 2.0 ** -53
-    res = np.add(tau, c, dtype=float)  # bincount gives ints when owner is empty
+    tau, c = sums(q), sums(np.subtract(v, q, out=s))
+    b = (2.0 * size + 4.0) * size * sigma * 2.0 ** -106
+    res = tau + c
     z = res - tau
     err, mag = np.abs((tau - (res - z)) + (c - z)), np.abs(res)
     good = (err + b < (mag - np.nextafter(mag, 0.0)) / 2) & (a >= 2.0 ** -900) & (a <= 2.0 ** 900)
-    if not good.all():
-        redo = np.flatnonzero(~good[owner])
-        redo = np.split(v[redo[np.argsort(owner[redo], kind="stable")]], np.cumsum(n[~good])[:-1])
-        res[~good] = [(huge if big else math.fsum)(terms.tolist())
-                      for terms, big in zip(redo, (a[~good] > 2.0 ** 900).tolist())]
+    for k in np.flatnonzero(~good).tolist():
+        res[k] = (huge if a[k] > 2.0 ** 900 else math.fsum)(v[start[k]:start[k] + size[k]].tolist())
     return res
 
 
 def _walk(tree: NTree, settle, owner: np.ndarray, row: np.ndarray):
-    """The far and the unsettled pairs of the walks from pairs (owner, row)
-    down, each as (owners, rows): the one frontier loop, level-synchronous.
-
-    settle(owner, row) gives the pairs far for every target of their owner,
-    and those open for every one.  A far pair ends; an open pair becomes its
-    row's children, for a leaf its body rows; any other comes back unsettled.
-    """
-    far, unsettled = [(owner[:0], row[:0])], [(owner[:0], row[:0])]
+    """The far rows, as spans (owners, first rows, row counts), and the
+    unsettled pairs (owners, rows) of the walks from pairs (owner, row) down:
+    the one frontier loop, level-synchronous.  settle(owner, row) gives the
+    pairs far for every target of their owner, and those open for every one.
+    A far pair ends as its row; an open pair becomes its row's children, an
+    open leaf its body rows, far for every target untested.  Any other pair
+    becomes its owner's children with the same row; a leaf owner's comes back
+    unsettled."""
+    n, first, count = len(tree.first) - 1, tree.first, tree.count
+    far, unsettled = [(owner[:0],) * 3], [(owner[:0],) * 2]
     while len(owner):
         far_all, far_none = settle(owner, row)
-        rest = ~(far_all | far_none)
-        far.append((owner[far_all], row[far_all]))
-        unsettled.append((owner[rest], row[rest]))
-        row = row[far_none]
-        owner, row = _spans(owner[far_none], tree.first[row], tree.count[row])
-    return [tuple(map(np.concatenate, zip(*pairs))) for pairs in (far, unsettled)]
+        far.append((owner[far_all], row[far_all], np.ones(np.count_nonzero(far_all), np.intp)))
+        split = ~(far_all | far_none)
+        split, split_row = owner[split], row[split]
+        leaf = first[split] >= n
+        unsettled.append((split[leaf], split_row[leaf]))
+        split_row, split = _spans(split_row[~leaf], first[split[~leaf]], count[split[~leaf]])
+        owner, row = owner[far_none], row[far_none]
+        leaf = first[row] >= n
+        far.append((owner[leaf], first[row[leaf]], count[row[leaf]]))
+        owner, row = _spans(owner[~leaf], first[row[~leaf]], count[row[~leaf]])
+        owner, row = np.concatenate((owner, split)), np.concatenate((row, split_row))
+    return [tuple(map(np.concatenate, zip(*parts))) for parts in (far, unsettled)]
 
 
 @np.errstate(all="ignore")  # NaN centers and zero distances fail the side test, as in the walk
 def _far(tree: NTree, x: np.ndarray, y: np.ndarray, row: np.ndarray, th2: float):
-    """Whether the depth-first walk of a target at (x, y) takes row as one
-    term, and whether it opens row: the walk's test and operations.  A body
-    row has the sentinel box, so it is never inside and passes the side
-    test, as the walk sums a leaf's bodies one by one.
+    """Whether the depth-first walk of a target at (x, y) takes node row as
+    one term, and whether it opens row: the walk's test and operations.
     """
     lo_x, lo_y, hi_x, hi_y, side2 = tree.box  # taken a column at a time: less scratch
-    inside = lo_x.take(row, mode="clip") <= x
-    inside &= x <= hi_x.take(row, mode="clip")
-    inside &= lo_y.take(row, mode="clip") <= y
-    inside &= y <= hi_y.take(row, mode="clip")
+    inside = lo_x[row] <= x
+    inside &= x <= hi_x[row]
+    inside &= lo_y[row] <= y
+    inside &= y <= hi_y[row]
     d2 = np.square(tree.cx[row] - x)  # dx * dx + dy * dy
     d2 += np.square(tree.cy[row] - y)
     # s/d < theta without the square root: s^2 < theta^2 * d^2.  It fails for
     # d = 0 and for the NaN center of a cancelled node; fmax turns the NaN of
-    # 0 * inf into 0, which a body row's side^2 of -1 still passes.
-    far = ~inside & (side2.take(row, mode="clip") < np.fmax(th2 * d2, 0.0))
+    # 0 * inf into 0, which no side^2 passes.
+    far = ~inside & (side2[row] < np.fmax(th2 * d2, 0.0))
     return far, ~far
 
 
 @np.errstate(all="ignore")  # a zero denominator gives a non-finite term, raised by the caller
-def _terms(tree: NTree, tx: np.ndarray, ty: np.ndarray, t: np.ndarray, row: np.ndarray,
-           params: KernelParams) -> np.ndarray:
-    """The x terms, then the y terms, of far pairs (t, row), with the walk's
-    operations in the walk's order; numpy rounds them like Python and fuses
-    none."""
-    d = np.empty((2, len(t)))
-    np.subtract(tree.cx[row], tx[t], out=d[0])
-    np.subtract(tree.cy[row], ty[t], out=d[1])
-    r2 = d[0] * d[0] + d[1] * d[1] + params.softening * params.softening
-    d *= params.constant * tree.charge[row] / (r2 * np.sqrt(r2))
+def _terms(tree: NTree, x, y, row: np.ndarray, params: KernelParams) -> np.ndarray:
+    """The x terms, then the y terms, of rows row at targets (x, y), in the
+    walk's operations and order: numpy rounds them like Python, fusing none."""
+    d = np.empty((2, len(row)))
+    np.subtract(tree.cx[row], x, out=d[0])
+    np.subtract(tree.cy[row], y, out=d[1])
+    r2 = d[0] * d[0]
+    r2 += d[1] * d[1]
+    if params.softening:  # r2 + 0.0 is r2
+        r2 += params.softening * params.softening
+    r3 = np.sqrt(r2)
+    r3 *= r2
+    d *= np.divide(params.constant * tree.charge[row], r3, out=r3)
     return d.reshape(-1)
 
 
-def _block_sums(owner: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """_fsums of the x, then y, terms v of owners 0 .. m - 1: the m x sums,
-    then the m y sums.  A sum that is not finite, or whose |terms| total is
-    huge, is NaN: fsum's overflow would depend on the order of the terms.
-    """
+def _block_sums(v: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """_fsums of the x, then the y, terms v of targets of size[k] terms each,
+    NaN where not finite or of a huge |terms| total, where fsum depends on order."""
     try:
-        return _fsums(np.concatenate((owner, owner + m)), v, 2 * m, huge=lambda terms: math.nan)
+        return _fsums(v, np.concatenate((size, size)), huge=lambda terms: math.nan)
     except (ValueError, OverflowError):
-        return np.full(2 * m, np.nan)
+        return np.full(2 * len(size), np.nan)
 
 
 @np.errstate(all="ignore")  # a NaN bound settles nothing it should not
 def _settled(tree: NTree, bbox: np.ndarray, row: np.ndarray, th2: float):
     """Whether _far holds for every target in the box bbox (lo_x, lo_y, hi_x,
-    hi_y per pair), and whether it holds for none.
+    hi_y per pair), and whether it holds for none; a leaf whose box meets bbox
+    never opens for all, so each target opens it alone, skipping its own body.
 
     Rounding is monotone, so a target's dx = cx - x lies between the dx of
     the box's two x edges, and its dx * dx between the squares of the least
@@ -254,7 +260,7 @@ def _settled(tree: NTree, bbox: np.ndarray, row: np.ndarray, th2: float):
     th2 keep that order.  The bounds are therefore exact for every target,
     with no margin.  A NaN center makes both bounds NaN, and fmax 0: open.
     """
-    box = tree.box.take(row, axis=1, mode="clip")
+    box = tree.box.take(row, axis=1)
     lo, hi, side2 = box[:2], box[2:4], box[4]
     b_lo, b_hi = bbox[:2], bbox[2:]
     c = np.stack((tree.cx[row], tree.cy[row]))
@@ -262,84 +268,97 @@ def _settled(tree: NTree, bbox: np.ndarray, row: np.ndarray, th2: float):
     least = np.square(np.maximum(near, 0.0) + np.minimum(away, 0.0))
     most = np.square(np.fmax(b_hi - c, away))  # b_hi - c is -near, exactly
     out = (b_hi < lo) | (hi < b_lo)
-    far_all = out[0] | out[1]  # no target inside
-    far_all &= side2 < np.fmax(th2 * (least[0] + least[1]), 0.0)
+    out = out[0] | out[1]  # no target inside
+    far_all = out & (side2 < np.fmax(th2 * (least[0] + least[1]), 0.0))
     within = (lo <= b_lo) & (b_hi <= hi)
     far_none = within[0] & within[1]  # every target inside
     far_none |= ~(side2 < np.fmax(th2 * (most[0] + most[1]), 0.0))
+    far_none &= out | (tree.first[row] < len(tree.first) - 1)
     return far_all, far_none
 
 
-def _spread(g: np.ndarray, row: np.ndarray, start: np.ndarray, end: np.ndarray,
-            a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(target, row) for each target in a .. b-1 of each group pair (g, row);
-    group k's targets are start[k] .. end[k] - 1."""
-    ga, gb = bisect_right(start, a) - 1, bisect_right(start, b - 1) - 1  # the groups of a, b - 1
-    meets = (ga <= g) & (g <= gb)
-    g, row = g[meets], row[meets]
-    lo = np.maximum(start[g], a)
-    row, t = _spans(row, lo, np.minimum(end[g], b) - lo)
-    return t, row
+def _targets(tree: NTree):
+    """Per node row its targets, the bodies lo .. hi - 1 depth-first, the
+    bounding box (lo_x, lo_y, hi_x, hi_y) of their coordinates (per leaf by
+    reduceat, then over each node's children) and its parent (-1 at the
+    root); per leaf depth-first, its chain of rows up to the root, then -1."""
+    n, first, count, depth = len(tree.first) - 1, tree.first[:-1], tree.count[:-1], tree.coords[0]
+    x, y, inner = tree.cx[n:], tree.cy[n:], first < n
+    leaf = np.flatnonzero(~inner)[np.argsort(first[~inner])]
+    at = first[leaf] - n
+    t, parent = np.empty((6, n)), np.full(n, -1)  # t: lo_x, lo_y, -hi_x, -hi_y, lo, -hi
+    t[:, leaf] = (np.minimum.reduceat(x, at), np.minimum.reduceat(y, at),
+                  -np.maximum.reduceat(x, at), -np.maximum.reduceat(y, at),
+                  at, -(at + count[leaf]))
+    for d in range(int(depth.max()) - 1, -1, -1):
+        p = np.flatnonzero(inner & (depth == d))  # their children: consecutive rows, in order
+        if len(p):
+            kids = slice(first[p[0]], first[p[-1]] + count[p[-1]])
+            t[:, p] = np.minimum.reduceat(t[:, kids], first[p] - first[p[0]], axis=1)
+            parent[kids] = np.repeat(p, count[p])
+    chain = [leaf]
+    while (chain[-1] >= 0).any():
+        chain.append(np.where(chain[-1] >= 0, parent[chain[-1]], -1))
+    return (t[4].astype(np.intp), (-t[5]).astype(np.intp), t[:4] * [[1.0], [1.0], [-1.0], [-1.0]],
+            parent, np.stack(chain[:-1]))
 
 
-def _group_fields(tree: NTree, start: np.ndarray, params: KernelParams) -> np.ndarray:
-    """The x fields, then the y fields, at the tree's bodies in depth-first
-    order, NaN where _block_sums gives NaN: the group sweep.
-
-    Group k is bodies start[k] .. start[k + 1] - 1, the last group running
-    to the end.  Chunks of consecutive groups walk as groups (_walk with
-    _settled); a chunk's unsettled pairs continue target by target (_walk
-    with _far), and its far pairs are summed in blocks of targets sized from
-    the terms per target of the last block, each target skipping its own
-    body there.  A chunk aims to keep _BLOCK_TERMS settled-far pairs.
-    """
-    n = len(tree.first) - 1
-    tx, ty, tid = tree.cx[n:], tree.cy[n:], tree.id[n:]
-    end = np.append(start[1:], len(tx))
-    bbox = np.stack([np.minimum.reduceat(tx, start), np.minimum.reduceat(ty, start),
-                     np.maximum.reduceat(tx, start), np.maximum.reduceat(ty, start)])
-    th2 = params.theta * params.theta
+def _sweep(tree: NTree, params: KernelParams) -> np.ndarray:
+    """The x fields, then the y fields, at the bodies depth-first, NaN where
+    _block_sums gives NaN.  Chunks of consecutive targets (aiming at 2 *
+    _BLOCK_TERMS far spans, at most _BLOCK_TERMS / 8 targets) walk from a cut
+    of nodes paired with the root row: nodes own the pairs of all their
+    targets (_walk with _settled), then a leaf's unsettled rows go on target
+    by target (_walk with _far).  Each target's far spans, its leaf chain's and
+    its own less its own body, are summed in blocks of ~_BLOCK_TERMS terms."""
+    n, first = len(tree.first) - 1, tree.first
+    lo, hi, bbox, parent, chain = _targets(tree)
+    tx, ty, th2 = tree.cx[n:], tree.cy[n:], params.theta * params.theta
     groups = lambda g, row: _settled(tree, bbox.take(g, axis=1), row, th2)
     targets = lambda t, row: _far(tree, tx[t], ty[t], row, th2)
-    out = np.empty((2, len(tx)))
-    g0, chunk, size = 0, 1, 1
-    while g0 < len(start):
-        g1 = min(g0 + chunk, len(start))
-        a, stop = start[g0], end[g1 - 1]
-        g = np.arange(g0, g1)
-        far, unsettled = _walk(tree, groups, g, np.zeros_like(g))
-        (wt, wrow), _ = _walk(tree, targets, *_spread(*unsettled, start, end, a, stop))
-        chunk = _pow2(_BLOCK_TERMS * (g1 - g0) / max(len(far[0]), 1))
-        while a < stop:
-            b = min(a + size, stop)
-            t, row = _spread(*far, start, end, a, b)
-            walked = (a <= wt) & (wt < b)
-            t, row = np.concatenate((t, wt[walked])), np.concatenate((row, wrow[walked]))
-            keep = tree.id[row] != tid[t]  # each target skips its own body
-            t, row = t[keep], row[keep]
-            m, terms = b - a, len(t)
-            v = _terms(tree, tx, ty, t, row, params)
-            del row  # the sums are the sweep's peak: hold nothing they do not need
-            t -= a
-            out[:, a:b] = _block_sums(t, v, m).reshape(2, m)
-            del t, v
-            size = _pow2(_BLOCK_TERMS * m / max(terms, 1))  # few sizes, as in radius_hits
-            a = b
-        g0 = g1
+    size = _pow2(_BLOCK_TERMS / 128)
+    big = (hi - lo > size) & (first[:n] < n)  # the cut: the nodes of at most size targets
+    cut = np.flatnonzero(~big & np.append(True, big[parent[1:]]))  # and larger leaves
+    cut, out, i = cut[np.argsort(lo[cut])], np.empty((2, len(tx))), 0
+    while i < len(cut):
+        j = max(i + 1, np.searchsorted(hi[cut], lo[cut[i]] + size, side="right"))
+        a, b = lo[cut[i]], hi[cut[j - 1]]
+        (g, g_at, g_size), (leaf, row) = _walk(tree, groups, cut[i:j], 0 * cut[i:j])
+        links = chain[:, np.searchsorted(lo[chain[0]], np.arange(a, b), side="right") - 1].T
+        leaf, row = leaf[k := np.argsort(leaf)], row[k]
+        at = np.searchsorted(leaf, links[:, 0])
+        t, k = _spans(np.arange(a, b), at, np.searchsorted(leaf, links[:, 0], side="right") - at)
+        (t, t_at, t_size), _ = _walk(tree, targets, t, row[k])
+        body = n + t  # each target's own body lies in one span of its walk, which splits in two
+        own = np.flatnonzero((t_at <= body) & (body < t_at + t_size))
+        t, t_at, t_size = (np.append(t, t[own]), np.append(t_at, body[own] + 1),
+                           np.append(t_size, t_at[own] + t_size[own] - body[own] - 1))
+        t_size[own] = body[own] - t_at[own]
+        size = _pow2(min(2 * _BLOCK_TERMS * (b - a) / max(len(g) + len(t), 1), _BLOCK_TERMS / 8))
+        k = np.argsort(g)
+        g, start, span = g[k], np.append(g_at[k], t_at), np.append(g_size[k], t_size)
+        runs = np.split(t - a, np.flatnonzero(t[1:] < t[:-1]) + 1)  # the walk's spans come in
+        walked = np.stack([np.bincount(r, minlength=b - a) for r in runs], axis=1)  # runs by target
+        at = np.column_stack((np.searchsorted(g, links), len(g) + np.cumsum(walked, axis=0) - walked
+                              + np.cumsum([0] + [len(r) for r in runs[:-1]])))
+        spans = np.column_stack((np.searchsorted(g, links, side="right"),
+                                 at[:, -len(runs):] + walked)) - at
+        del leaf, row, k, g, g_at, g_size, t, t_at, t_size, body, own, runs, walked, links
+        ends = np.append(0, np.cumsum(span))
+        terms = (ends[at + spans] - ends[at]).sum(axis=1)
+        ends, c = np.cumsum(terms), 0
+        while c < b - a:
+            d = max(c + 1, np.searchsorted(ends, ends[c] - terms[c] + _BLOCK_TERMS, side="right"))
+            k = _spans(None, at[c:d].reshape(-1), spans[c:d].reshape(-1))[1]
+            m = terms[c:d]
+            v = _terms(tree, np.repeat(tx[a + c:a + d], m), np.repeat(ty[a + c:a + d], m),
+                       _spans(None, start[k], span[k])[1], params)
+            del k  # the sums are the sweep's peak: hold nothing they do not need
+            out[:, a + c:a + d] = _block_sums(v, m).reshape(2, d - c)
+            del v
+            c = d
+        i = j
     return out
-
-
-def _depth_first(tree: NTree, target_id: int, row: np.ndarray, xs: np.ndarray,
-                 ys: np.ndarray) -> Vec2:
-    """_summed over one target's terms, of far rows row, in depth-first
-    order, as the walk sums them.
-    """
-    key, nodes = row.copy(), len(tree.first) - 1
-    while (inner := key < nodes).any():
-        key[inner] = tree.first[key[inner]]  # a row's first body row: its place depth-first
-    e = np.argsort(key)
-    sources = [int(tree.id[r]) if r >= nodes else tree.coords[:, r].tolist() for r in row[e]]
-    return _summed(xs[e].tolist(), ys[e].tolist(), target_id, sources, len(e))
 
 
 def tree_field(tree: NTree, target: Vec2, target_id: int,
@@ -351,36 +370,37 @@ def tree_field(tree: NTree, target: Vec2, target_id: int,
     by body, skipping target_id.  A node whose charges cancel has no center
     and always opens, as does one whose box holds the target: with signed
     charges its far-off center could pass the test and fold in the target.
-    The point walks alone (_walk with _far).  A sum that is not finite
-    raises as the depth-first walk does, or is summed in the walk's order.
+    The terms are summed as one segment; a sum that is not finite raises as
+    the depth-first walk does, or is summed in the walk's order.
     """
-    tx, ty, tid = np.array([target.x]), np.array([target.y]), max(target_id, -1)
-    th2 = params.theta * params.theta
-    root = np.zeros(min(len(tree.id), 1), dtype=np.intp)  # the target and the root row, if any
-    (_, row), _ = _walk(tree, lambda t, row: _far(tree, tx[t], ty[t], row, th2), root, root)
+    th2, tid = params.theta * params.theta, max(target_id, -1)
+    root = np.zeros(min(len(tree.id), 1), dtype=np.intp)  # the point and the root row, if any
+    (_, start, size), _ = _walk(tree, lambda t, row: _far(tree, target.x, target.y, row, th2),
+                                root, root)
+    row = _spans(None, start, size)[1]
     row = row[tree.id[row] != tid]  # the target skips its own body
-    t = np.zeros_like(row)  # every term is the one target's
-    v = _terms(tree, tx, ty, t, row, params)
-    f = _block_sums(t, v, 1)
-    if np.isnan(f).any():
-        return _depth_first(tree, tid, row, v[:len(row)], v[len(row):])
-    return Vec2(*f.tolist())
+    v = _terms(tree, target.x, target.y, row, params)
+    f = _block_sums(v, np.array([len(row)]))
+    if not np.isnan(f).any():
+        return Vec2(*f.tolist())
+    key, nodes = row.copy(), len(tree.first) - 1  # _summed in depth-first order, as the walk sums
+    while (inner := key < nodes).any():
+        key[inner] = tree.first[key[inner]]  # a row's first body row: its place depth-first
+    e = np.argsort(key)
+    sources = [int(tree.id[r]) if r >= nodes else tree.coords[:, r].tolist() for r in row[e]]
+    return _summed(v[:len(row)][e].tolist(), v[len(row):][e].tolist(), tid, sources, len(e))
 
 
 def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     """Tree-accelerated field at every tree body, in tree.bodies order.
 
     Equal bit for bit to tree_field at each body, and so to the depth-first
-    walk, at every theta.  The bodies go depth-first, each leaf's bodies one
-    group of targets, so only the rows a leaf cannot settle are walked target
-    by target.  A target whose sum comes back NaN is redone by tree_field,
-    lowest input index first, which raises as a loop over tree_field would.
+    walk, at every theta (_sweep).  A target whose sum comes back NaN is
+    redone by tree_field, lowest input index first, which raises as a loop
+    over tree_field would.
     """
-    first, n = tree.first, len(tree.first) - 1
-    start = np.zeros(len(tree.bodies), dtype=bool)  # a mask, not np.sort: no sort code paged in
-    start[first[np.flatnonzero(first[:n] >= n)] - n] = True  # each leaf's first body
-    f = np.empty((2, len(tree.bodies)))  # in input order
-    f[:, tree.order] = _group_fields(tree, np.flatnonzero(start), params)
+    f = _sweep(tree, params) if tree.bodies else np.empty((2, 0))
+    f[:, tree.order] = f.copy()  # into input order
     # Made in input order, the list's Vec2s lie in memory in list order; made
     # depth-first, they lie scattered, and a full garbage collection over
     # them took about 15% longer.

@@ -297,9 +297,10 @@ def _ordered_sums(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np
 
 def _spans(owner: np.ndarray, start: np.ndarray, size: np.ndarray):
     """(owner, index) for each index start .. start + size - 1 of each span,
-    span by span: the one expansion of ragged spans into flat indices."""
+    span by span: the one expansion of ragged spans into flat indices.  No
+    owner (None) gives None for the owners."""
     at = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
-    return np.repeat(owner, size), at
+    return None if owner is None else np.repeat(owner, size), at
 
 
 def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:

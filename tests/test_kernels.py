@@ -354,16 +354,17 @@ def fsum_hex(terms):
 
 
 def summed_hex(segments, seed=0):
-    """kernels._fsums over the segments, their terms interleaved at random,
-    and math.fsum over each segment's terms in that order."""
+    """kernels._fsums over the segments, their terms shuffled and then grouped
+    by segment, stably, and math.fsum over each segment's terms in that order."""
     pairs = [(k, x) for k, seg in enumerate(segments) for x in seg]
     random.Random(seed).shuffle(pairs)
-    owner = np.array([k for k, _ in pairs], dtype=np.intp)
+    pairs.sort(key=lambda pair: pair[0])  # stable: a segment keeps its shuffled order
+    size = np.array([len(seg) for seg in segments], dtype=np.intp)
     v = np.array([x for _, x in pairs], dtype=float)
     want = [fsum_hex([x for j, x in pairs if j == k]) for k in range(len(segments))]
     errors = [w for w in want if w.endswith("Error")]
     try:
-        got = [x.hex() for x in kernels._fsums(owner, v, len(segments)).tolist()]
+        got = [x.hex() for x in kernels._fsums(v, size).tolist()]
     except (ValueError, OverflowError) as err:
         got = type(err).__name__
     return got, errors[0] if errors else want
@@ -459,7 +460,7 @@ def test_fallback_for_every_sum_gives_the_certified_bits(monkeypatch):
     assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
     assert len(calls) == 2 * len(bodies)
     # Blocks whose sums are not all finite are summed again target by target.
-    monkeypatch.setattr(kernels, "_fsums", lambda owner, v, m, **kw: np.full(m, np.nan))
+    monkeypatch.setattr(kernels, "_fsums", lambda v, size, **kw: np.full(len(size), np.nan))
     assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == certified
 
 
@@ -469,8 +470,8 @@ def test_only_the_targets_whose_sums_come_back_nan_are_redone(monkeypatch):
     certified = [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)]
     fsums, field, redone = kernels._fsums, kernels.tree_field, []
 
-    def negative_x_sums_are_nan(owner, v, m, **kw):  # the x sums come first
-        res = fsums(owner, v, m, **kw)
+    def negative_x_sums_are_nan(v, size, **kw):  # the x sums come first
+        res, m = fsums(v, size, **kw), len(size)
         res[:m // 2][res[:m // 2] < 0.0] = np.nan
         return res
 
@@ -622,10 +623,8 @@ def test_group_walk_equals_the_scalar_walk_bitwise(seed, kind, theta, capacity):
     assert got == (singular[0] if singular else walked[0])
     if not singular:
         assert [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)] == walked
-        n = len(tree.first) - 1  # each leaf's bodies one group, with no per-target fallback
-        start = np.flatnonzero(np.isin(np.arange(len(bodies)) + n, tree.first[:n]))
-        grouped = kernels._group_fields(tree, start, params)
-        assert [(x.hex(), y.hex()) for x, y in grouped.T[np.argsort(tree.order)].tolist()] == walked
+        swept = kernels._sweep(tree, params)  # depth-first, with no per-target fallback
+        assert [(x.hex(), y.hex()) for x, y in swept.T[np.argsort(tree.order)].tolist()] == walked
 
 
 def test_the_lowest_input_index_raises_when_depth_first_order_is_reversed():
@@ -674,3 +673,43 @@ def test_scratch_memory_stays_a_fraction_of_the_sweeps_terms():
     finally:
         tracemalloc.stop()
     assert peak < 182 * 8000 * 32 / 8
+
+
+@pytest.mark.parametrize("theta", [0.5, 2.0])
+def test_scratch_memory_at_32k_bodies_stays_within_the_same_bound(theta):
+    # Chunks of consecutive targets and blocks of terms bound the sweep's scratch,
+    # so four times the bodies stay under the 8k bound; the 32,768 Vec2s of the
+    # result alone take about 4.3 MiB of it.  At theta 2 a target has few far
+    # spans, so a chunk's target count must be bounded on its own.
+    tree, _ = uniform_tree(32768, seed=3)
+    params = KernelParams(theta=theta)
+    tracemalloc.start()
+    try:
+        tree_fields(tree, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 182 * 8000 * 32 / 8
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.0])
+def test_piles_whose_leaf_a_node_could_open_for_all_its_targets_skip_only_their_own_body(
+        monkeypatch, theta):
+    # Two piles of capacity + 2 coincident bodies bottom out at max_depth 3.  The
+    # nodes above a pile hold it alone, so their targets' box is a point inside
+    # the pile's leaf, which the whole node could open.  Each target must still
+    # skip its own body, and only it: at theta 0 the sweep evaluates exactly
+    # n - 1 terms per target.
+    capacity, piles = 3, [(0.3, 0.3), (0.71, 0.62)]
+    bodies = [b(i, *piles[i % 2], 1.0 + i % 3) for i in range(2 * (capacity + 2))]
+    tree = build_tree(bodies, UNIT_BOX, capacity, max_depth=3)
+    assert max(leaf.count for leaf in tree.leaves()) == capacity + 2
+    params = KernelParams(softening=1e-3, theta=theta)
+    terms, evaluated = kernels._terms, []
+    monkeypatch.setattr(kernels, "_terms", lambda tree, x, y, row, params: (
+        evaluated.append(len(row)) or terms(tree, x, y, row, params)))
+    got = [(v.x.hex(), v.y.hex()) for v in tree_fields(tree, params)]
+    assert got == [outcome(lambda: tree_field_walk(tree, x.position, x.id, params))
+                   for x in tree.bodies]
+    if theta == 0.0:
+        assert sum(evaluated) == len(bodies) * (len(bodies) - 1)

@@ -376,6 +376,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["summary"]["n"] == 40
 
+    def test_field_refuses_more_bodies_than_its_direct_sum_takes(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # Checked before a body is placed: placing them would be the first cost.
+        monkeypatch.setattr(run, "place_bodies", lambda config: pytest.fail("placed bodies"))
+        half = run.FIELD_MAX_BODIES // 2
+        cfg_path = write_config(tmp_path, {"species": [{"name": "a", "count": half},
+                                                       {"name": "b", "count": half + 1}]})
+        assert main(["field", "--config", str(cfg_path), "--out", str(tmp_path / "f")]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"config error: field runs an O(N^2) direct sum and takes at most "
+                       f"{run.FIELD_MAX_BODIES} bodies, got {2 * half + 1}\n")
+        assert not (tmp_path / "f").exists()
+
     def test_field_errors_keep_their_bits_for_huge_and_tiny_constants(self, tmp_path):
         # At 2**530 the squared fields overflow, at 2**-550 they are subnormal
         # and at 2**-560 they underflow, which once made every error 0, off by
