@@ -45,12 +45,13 @@ displacement is a DynamicsError naming the boid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DynamicsError, ZeroDistanceError
-from .geometry import AABB, Vec2
-from .ntree import Body, NTree, build_tree, columns, radius_hits
+from .geometry import AABB
+from .ntree import Body, NTree, bodies_from_columns, build_tree, columns, radius_hits
 
 COHESION_NORMALIZED = "normalized"
 COHESION_LITERAL = "literal"
@@ -252,7 +253,8 @@ def step_world(state: WorldState) -> WorldState:
         py, vy = _reflect(py, vy, box.lo.y, box.hi.y)
     else:
         px, py = _wrap(px, box.lo.x, box.hi.x), _wrap(py, box.lo.y, box.hi.y)
-    moved = tuple(Body(b.id, b.species, Vec2(x, y), Vec2(u, v), b.charge) for b, x, y, u, v in
-                  zip(state.bodies, px.tolist(), py.tolist(), vx.tolist(), vy.tolist()))
+    ids, species, charge = (list(map(attrgetter(k), state.bodies))
+                            for k in ("id", "species", "charge"))
+    moved = tuple(bodies_from_columns(ids, species, px, py, vx, vy, charge))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
     return WorldState(bodies=moved, tree=tree, step=state.step + 1, params=params)

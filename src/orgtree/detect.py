@@ -7,39 +7,56 @@ into connected components under closed-box adjacency, where sharing an edge
 or a single corner point counts as contact.
 
 Two interchangeable grouping routines are provided.  `group_cells` is the
-quadratic reference sweep; `group_cells2` is union-find (Tarjan 1975) over
-same-depth neighbour and ancestor lookups (Samet 1982).  Both return the
-same partition for any input and any seed, which the test suite checks
-against an independent union-find oracle.
+quadratic reference sweep.  `group_cells2` works on arrays: each cell is an
+interval of Z-order codes (Warren & Salmon 1993) at the pool's deepest
+depth, one binary search per same-depth neighbour finds the pooled cell
+that contains it, and pointer jumping (Shiloach & Vishkin 1982) labels the
+components.  Both return the same partition for any input and any seed,
+which the test suite checks against an independent union-find oracle.
+`organizations_from` finds each group's leaf rows by the same intervals and
+reduces their body spans with numpy.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import fsum, ldexp
+from functools import cached_property
+from itertools import chain
+from math import fsum, ldexp, nan
 from typing import Iterable
 
+import numpy as np
+
 from .geometry import AABB, CellCoord, Vec2, cells_touch
-from .ntree import NTree
+from .kernels import _fsums
+from .ntree import NTree, _spans
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class CellSet:
-    """Cut result: coordinates of the kept leaves, each with its body ids."""
+    """Cut result: the kept leaves as rows of their tree, depth-first.
 
-    cells: dict[CellCoord, tuple[int, ...]]
+    `cells` maps their coordinates to body ids; it is built when first read.
+    """
+
+    tree: NTree
+    rows: np.ndarray
 
     @classmethod
     def from_tree(cls, tree: NTree, min_depth: int) -> CellSet:
         """Non-empty leaf cells with depth >= min_depth (inclusive cut)."""
-        return cls(tree.leaf_cells(min_depth))
+        return cls(tree, tree.leaf_rows(min_depth))
+
+    @cached_property
+    def cells(self) -> dict[CellCoord, tuple[int, ...]]:
+        return self.tree.cell_bodies(self.rows)
 
     def coords(self) -> set[CellCoord]:
         return set(self.cells)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
 
     def __contains__(self, coord: CellCoord) -> bool:
         return coord in self.cells
@@ -56,10 +73,61 @@ class Organization:
     bounding_box: AABB
 
 
-def _coord_pool(cells: CellSet | Iterable[CellCoord]):
-    if isinstance(cells, CellSet):
-        return cells.cells
-    return cells
+def _columns(coords: list) -> np.ndarray:
+    """The depth, ix and iy columns of the cells: int64, or Python ints in
+    object arrays when a cell lies past depth 62."""
+    try:
+        flat = np.fromiter(chain.from_iterable(coords), np.int64, 3 * len(coords))
+    except OverflowError:
+        flat = np.array(list(chain.from_iterable(coords)), dtype=object)
+    return flat.reshape(-1, 3).T
+
+
+def _spread(v: np.ndarray, width: int) -> np.ndarray:
+    """Bit b of each v < 2**width moved to bit 2b; width is a power of two."""
+    shift = width // 2
+    while shift:
+        mask = sum(((1 << shift) - 1) << (2 * shift * k) for k in range(width // shift))
+        v = (v | (v << shift)) & mask
+        shift //= 2
+    return v
+
+
+def _codes(d: np.ndarray, ix: np.ndarray, iy: np.ndarray, depth: int):
+    """The x and the y bits of each cell's Z-order code at its own depth,
+    x at the even bits and y at the odd ones, and the shift that takes a
+    code to `depth`, no less than any d.  The codes at `depth` take 2 *
+    depth bits: int64 up to depth 31, Python ints in object arrays past it.
+    """
+    kind = np.int64 if depth <= 31 else object
+    width = 1 << max(depth - 1, 0).bit_length()
+    zx, zy = _spread(ix.astype(kind), width), _spread(iy.astype(kind), width) << 1
+    return zx, zy, 2 * (depth - d.astype(kind))
+
+
+def _intervals(d: np.ndarray, ix: np.ndarray, iy: np.ndarray, depth: int):
+    """(lo, hi): each cell's interval of Z-order codes at `depth` (_codes).
+    Cells nest exactly when their intervals do, and are otherwise disjoint.
+    """
+    zx, zy, shift = _codes(d, ix, iy, depth)
+    return (zx | zy) << shift, ((zx | zy) + 1) << shift
+
+
+def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's smallest fellow in the graph on 0 .. size-1 with edges
+    (a, b).  Each round hooks every root onto the smallest root that an edge
+    still joins it to, and pointer jumping then makes every node point at
+    its root again.
+    """
+    label = np.arange(size)
+    while len(a):
+        la, lb = label[a], label[b]
+        apart = la != lb  # an edge inside one tree stays inside it
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while (label != (jumped := label[label])).any():
+            label = jumped
+    return label
 
 
 def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
@@ -73,7 +141,7 @@ def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
     the sweep after that member joined.
     """
     rng = random.Random(seed)
-    remaining = set(_coord_pool(cells))
+    remaining = set(cells.cells if isinstance(cells, CellSet) else cells)
     groups: list[frozenset[CellCoord]] = []
     while remaining:
         pool = sorted(remaining)
@@ -95,44 +163,75 @@ def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
 
 def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
                  seed: int = 0) -> list[frozenset[CellCoord]]:
-    """Union-find grouping: join each cell to the pooled cells around it.
+    """Grouping over arrays: join each cell to the pooled cells around it.
 
-    A cell c = (d, ix, iy) is joined with the first pooled cell on the
-    ancestor chain (d - s, nx >> s, ny >> s) of each same-depth neighbour
-    (nx, ny), where one outside [0, 2**d) matches nothing, and with its own
-    first pooled proper ancestor.  A pooled cell no smaller than c touching c
-    contains c or one of those neighbours, and a smaller one finds c from its
-    own side: the components are those of `cells_touch`, nested pools too.
-    Neither `tree` nor `seed` is read; both stay for callers that pass them.
+    A cell c = (d, ix, iy) is joined with the deepest pooled cell that
+    contains each same-depth neighbour (nx, ny), where one outside
+    [0, 2**d) matches nothing, and with its own deepest pooled proper
+    ancestor.  A pooled cell no smaller than c touching c contains c or one
+    of those neighbours, and a smaller one finds c from its own side: the
+    components are those of `cells_touch`, nested pools too.
+
+    With the pool sorted by interval (`_intervals`), the last cell starting
+    at or before a neighbour's first code is the only candidate when no
+    pooled cells nest; where they do, the search walks up from there
+    through the pooled ancestors.  A CellSet is read from its own tree's
+    rows; `tree` and `seed` are not read, and stay for callers that pass
+    them.
     """
-    coords = list(dict.fromkeys(_coord_pool(cells)))
-    index = {c: i for i, c in enumerate(coords)}
-    depths = sorted({c.depth for c in coords}, reverse=True)
-    # Shifts up to the shallower depths present: for c itself, for a neighbour.
-    walks = {d: (up := tuple(d - e for e in depths if e < d), (0, *up)) for d in depths}
-    parent = list(range(len(coords)))
+    if isinstance(cells, CellSet):
+        coords = cells.tree.cell_coords(cells.rows)
+        d, ix, iy = cells.tree.coords[:, cells.rows]
+    else:
+        coords = list(dict.fromkeys(cells))
+        d, ix, iy = _columns(coords)
+    if not coords:
+        return []
+    depth = int(d.max())
+    zx, zy, shift = _codes(d, ix, iy, depth)
+    order = np.lexsort((d, (zx | zy) << shift))  # a cell before the cells it contains
+    d, ix, iy, zx, zy, shift = (v[order] for v in (d, ix, iy, zx, zy, shift))
+    lo, m = (zx | zy) << shift, len(order)
+    # hi and d end in a sentinel that contains nothing, for the index -1.
+    hi, d = np.append(((zx | zy) + 1) << shift, 0), np.append(d, -1)
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    # up: the deepest pooled proper ancestor, or -1.  It contains the cell,
+    # so it lies before it in this order, after every cell it does not contain.
+    up = np.full(m, -1)
+    if (hi[:m - 1] > lo[1:]).any():  # some pooled cells nest
+        up[1:] = np.arange(m - 1)
+        while (miss := (up >= 0) & (hi[up] <= lo)).any():
+            up[miss] = up[up[miss]]
+    up = np.append(up, -1)  # the sentinel's
 
-    for i, c in enumerate(coords):
-        d, ix, iy = c
-        own, other = walks[d]
-        for nx in (ix - 1, ix, ix + 1):
-            for ny in (iy - 1, iy, iy + 1):
-                for s in (own if nx == ix and ny == iy else other):
-                    j = index.get((d - s, nx >> s, ny >> s))
-                    if j is not None:
-                        parent[find(j)] = find(i)
-                        break
-
-    groups: dict[int, list[CellCoord]] = {}
-    for i, c in enumerate(coords):
-        groups.setdefault(find(i), []).append(c)
-    return [frozenset(g) for g in groups.values()]
+    # The same-depth neighbours, x - 1, x and x + 1 by y - 1, y and y + 1 but
+    # the cell itself, by arithmetic on the interleaved bits of their codes.
+    even = sum(1 << 2 * k for k in range(depth))
+    odd, last = even << 1, (1 << d[:m]) - 1
+    xs = (((zx - 1) & even, ix > 0), (zx, True), (((zx | odd) + 1) & even, ix < last))
+    ys = (((zy - 1) & odd, iy > 0), (zy, True), (((zy | even) + 1) & odd, iy < last))
+    near = [(x | y, fx & fy) for j, (x, fx) in enumerate(xs) for k, (y, fy) in enumerate(ys)
+            if j != 1 or k != 1]
+    keep = np.concatenate([np.broadcast_to(f, m) for _, f in near])
+    who = np.tile(np.arange(m), len(near))[keep]
+    start = np.concatenate([z for z, _ in near])[keep] << shift[who]
+    # The last cell starting at or before each neighbour's start; up the
+    # pooled ancestors until one contains the neighbour.
+    at = np.searchsorted(lo, start, "right") - 1
+    while True:
+        found = (hi[at] > start) & (d[at] <= d[who])
+        climb = ~found & (up[at] >= 0)
+        if not climb.any():
+            break
+        at[climb] = up[at[climb]]
+    # A same-depth pair finds itself from both sides; one edge is enough.
+    found &= (d[at] < d[who]) | (at < who)
+    label = _components(m, np.concatenate([who[found], np.flatnonzero(up >= 0)]),
+                        np.concatenate([at[found], up[up >= 0]]))
+    by = np.argsort(label, kind="stable")
+    cuts = (np.flatnonzero(np.diff(label[by])) + 1).tolist()
+    ordered = [coords[k] for k in order[by].tolist()]
+    return [frozenset(ordered[a:b]) for a, b in zip([0, *cuts], [*cuts, m])]
 
 
 def _mean(values: list[float]) -> float:
@@ -147,6 +246,31 @@ def _mean(values: list[float]) -> float:
         return ldexp(fsum(ldexp(v, -k) for v in values) / len(values), k)
 
 
+def _means(v: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """_mean of each segment of v, the k-th its next size[k] > 0 values, bit
+    for bit: fsum by _fsums, and _mean itself where the values' magnitudes
+    pass 2^900, where the sum may overflow."""
+    sums = _fsums(v, size, huge=lambda values: nan)
+    out = sums / size
+    start = np.cumsum(size) - size
+    for k in np.flatnonzero(np.isnan(sums)).tolist():
+        out[k] = _mean(v[start[k]:start[k] + size[k]].tolist())
+    return out
+
+
+def _extremes(reduce, v: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """reduce (np.minimum or np.maximum) over each segment from start to the
+    next.  min and max keep the first of equal values, so a zero result is
+    the segment's first zero: 0.0 and -0.0 compare equal.
+    """
+    out = reduce.reduceat(v, start)
+    end = np.append(start[1:], len(v))
+    for k in np.flatnonzero(out == 0.0).tolist():
+        segment = v[start[k]:end[k]]
+        out[k] = segment[np.argmax(segment == 0.0)]
+    return out
+
+
 def organizations_from(groups: Iterable[Iterable[CellCoord]],
                        tree: NTree) -> list[Organization]:
     """Materialize organizations from cell groups.
@@ -157,32 +281,57 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
     positions, not cell extents.  Ids are assigned by descending member
     count, ties broken by the smallest cell coordinate, so output order is
     deterministic.
-    """
-    n = len(tree.first) - 1
-    first, count, ids = tree.first.tolist(), tree.count.tolist(), tree.id.tolist()
-    px, py = tree.cx.tolist(), tree.cy.tolist()
-    row = {c: k for k, c in enumerate(zip(*tree.coords.tolist()))}  # node rows by coordinate
-    protos = []
-    for raw in groups:
-        cell_group = frozenset(raw)
-        rows: list[int] = []
-        for c in sorted(cell_group):
-            d, ix, iy = c
-            k, parent = row.get(c), row.get((d - 1, ix >> 1, iy >> 1))
-            if k is not None and first[k] >= n:  # a leaf row
-                rows.extend(range(first[k], first[k] + count[k]))
-            elif k is not None or parent is None or first[parent] >= n:
-                # not an empty leaf either, the rowless child of an internal row
-                raise ValueError(f"cell ({d}, {ix}, {iy}) is not a leaf of the tree")
-        if not rows:  # no cells, or only empty leaves
-            continue
-        rows.sort(key=ids.__getitem__)  # by member id
-        members = tuple(ids[k] for k in rows)
-        xs, ys = [px[k] for k in rows], [py[k] for k in rows]
-        centroid = Vec2(_mean(xs), _mean(ys))
-        bbox = AABB(Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys)))
-        protos.append((cell_group, members, centroid, bbox))
 
+    Each cell is found among the tree's leaves by its interval
+    (`_intervals`).  A cell that is neither a non-empty leaf nor an empty
+    one, the rowless child of an internal row, raises ValueError, the first
+    in group order and then in cell order.  The members come from the
+    leaves' body spans, ordered by (group, id) in one lexsort.
+    """
+    cell_groups = [frozenset(g) for g in groups]
+    cells = list(chain.from_iterable(cell_groups))
+    if not cells:
+        return []
+    owner = np.repeat(np.arange(len(cell_groups)), [len(g) for g in cell_groups])
+    n = len(tree.first) - 1
+    leaf = tree.leaf_rows()  # in Z order, as the tree's bodies
+    d, ix, iy = _columns(cells)
+    ld, lx, ly = tree.coords[:, leaf]
+    depth = int(max(d.max(), ld.max(initial=0)))
+    llo, lhi = _intervals(ld, lx, ly, depth)
+    lhi, ld = np.append(lhi, 0), np.append(ld, -1)  # k = -1 lands on a leaf holding nothing
+    lo, hi = _intervals(d, ix, iy, depth)
+    k = np.searchsorted(llo, lo, "right") - 1
+    exact = (lhi[k] > lo) & (ld[k] == d)  # leaf k holds the cell's first point and is the cell
+    # A cell with no row is an empty leaf when no leaf meets it and one lies
+    # in its parent, which is then an internal row.  (The root, taken as its
+    # own parent here, has no row only in a tree without leaves.)
+    rest = np.flatnonzero(~exact)
+    p_lo, p_hi = _intervals(np.maximum(d[rest] - 1, 0), ix[rest] >> 1, iy[rest] >> 1, depth)
+    empty = ((lhi[k[rest]] <= lo[rest]) & (np.searchsorted(llo, hi[rest]) == k[rest] + 1)
+             & (np.searchsorted(llo, p_hi) > np.searchsorted(llo, p_lo)))
+    if not empty.all():
+        _, c = min((owner[j], cells[j]) for j in rest[~empty].tolist())
+        raise ValueError(f"cell ({c[0]}, {c[1]}, {c[2]}) is not a leaf of the tree")
+
+    rows = leaf[k[exact]]
+    group, at = _spans(owner[exact], tree.first[rows] - n, tree.count[rows])
+    ids = tree.id[n:][at]
+    by = np.lexsort((ids, group))
+    at, ids = at[by], ids[by].tolist()
+    size = np.bincount(group, minlength=len(cell_groups))
+    kept = np.flatnonzero(size)
+    size = size[kept]
+    start = np.cumsum(size) - size
+    x, y = tree.cx[n:][at], tree.cy[n:][at]
+    summary = zip(kept.tolist(), start.tolist(), (start + size).tolist(),
+                  *(a.tolist() for a in (_means(x, size), _means(y, size),
+                                         _extremes(np.minimum, x, start),
+                                         _extremes(np.minimum, y, start),
+                                         _extremes(np.maximum, x, start),
+                                         _extremes(np.maximum, y, start))))
+    protos = [(cell_groups[g], tuple(ids[a:b]), Vec2(mx, my), AABB(Vec2(x0, y0), Vec2(x1, y1)))
+              for g, a, b, mx, my, x0, y0, x1, y1 in summary]
     protos.sort(key=lambda t: (-len(t[1]), min(t[0])))
     return [Organization(i, cells, members, centroid, bbox)
             for i, (cells, members, centroid, bbox) in enumerate(protos)]

@@ -7,8 +7,9 @@ floating-point rounding of box edges.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,6 +65,17 @@ class CellCoord(namedtuple("CellCoord", "depth ix iy")):
         if not (0 <= ix < side and 0 <= iy < side):
             raise ValueError(f"cell index out of range at depth {depth}: ({ix}, {iy})")
         return tuple.__new__(cls, (depth, ix, iy))
+
+
+def from_slots(cls, *columns) -> list:
+    """One object of the slots class cls per index of the equal-length
+    columns, the k-th column filling the k-th slot: what cls(*row) holds for
+    each row, built without running __init__, and so without its checks.
+    """
+    made = list(map(object.__new__, repeat(cls, len(columns[0]))))
+    for name, column in zip(cls.__slots__, columns):
+        deque(map(getattr(cls, name).__set__, made, column), 0)
+    return made
 
 
 def child_coords(c: CellCoord) -> tuple[CellCoord, CellCoord, CellCoord, CellCoord]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DynamicsError, SingularPairError
-from .geometry import Vec2
+from .geometry import Vec2, from_slots
 from .ntree import Body, NTree, _pow2, _spans
 
 MODE_GRAVITY = "gravity"
@@ -404,7 +404,7 @@ def tree_fields(tree: NTree, params: KernelParams) -> list[Vec2]:
     # Made in input order, the list's Vec2s lie in memory in list order; made
     # depth-first, they lie scattered, and a full garbage collection over
     # them took about 15% longer.
-    out = list(map(Vec2, f[0].tolist(), f[1].tolist()))
+    out = from_slots(Vec2, f[0].tolist(), f[1].tolist())
     for k in np.flatnonzero(np.isnan(f).any(axis=0)).tolist():
         out[k] = tree_field(tree, tree.bodies[k].position, tree.bodies[k].id, params)
     return out

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -77,7 +78,8 @@ class WeightedGraph:
         n, dense = self.n, vars(self).get("weights")
         low = np.tri(min(n, _BLOCK_ROWS), dtype=bool)  # on or below the diagonal
         if dense is None:
-            pos, buf = self.positions[order], np.empty((2, min(n, _BLOCK_ROWS) * n))
+            x, y = (np.ascontiguousarray(self.positions[order, k]) for k in (0, 1))
+            buf = np.empty((2, min(n, _BLOCK_ROWS) * n))
         for lo in range(0, n, _BLOCK_ROWS):
             hi = min(lo + _BLOCK_ROWS, n)
             if dense is not None:
@@ -85,10 +87,13 @@ class WeightedGraph:
             else:
                 # dx*dx + dy*dy is bit for bit the sum over the last axis of an
                 # N x N x 2 difference tensor, never built, and symmetric in i, j.
-                dx, dy = buf[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
-                rows = np.subtract(pos[lo:hi, None, 0], pos[lo:, 0], out=dx)
+                # dx = x_j - x_i is -(x_i - x_j) exactly, so its square is the same.
+                rows, dy = buf[:, :(hi - lo) * (n - lo)].reshape(2, hi - lo, n - lo)
+                rows[:] = x[lo:]
+                rows -= x[lo:hi, None]
                 rows *= rows
-                np.subtract(pos[lo:hi, None, 1], pos[lo:, 1], out=dy)
+                dy[:] = y[lo:]
+                dy -= y[lo:hi, None]
                 dy *= dy
                 rows += dy
                 np.sqrt(rows, out=rows)
@@ -143,22 +148,21 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
     a single group covering every node has intra = incident = W bit for bit,
     so it scores exactly 0.0.
     """
-    groups = [np.fromiter((int(i) for i in g), dtype=int) for g in partition]
-    seen: set[int] = set()
-    for g in groups:
-        for i in g.tolist():
-            if i < 0 or i >= graph.n:
-                raise ValueError(f"node {i} out of range for graph of {graph.n}")
-            if i in seen:
-                raise ValueError(f"node {i} appears in more than one group")
-            seen.add(i)
-    if len(seen) != graph.n:
-        raise ValueError(f"partition covers {len(seen)} of {graph.n} nodes")
-
     n = graph.n
+    groups = [np.fromiter(map(int, g), dtype=int) for g in partition]
+    nodes = np.concatenate([np.zeros(0, dtype=int), *groups])
+    outside = (nodes < 0) | (nodes >= n)
+    seen = np.ones(len(nodes), dtype=bool)  # seen before, walking the partition in order
+    seen[np.unique(nodes, return_index=True)[1]] = False
+    for k in np.flatnonzero(outside | seen)[:1].tolist():
+        if outside[k]:
+            raise ValueError(f"node {nodes[k]} out of range for graph of {n}")
+        raise ValueError(f"node {nodes[k]} appears in more than one group")
+    if len(nodes) != n:
+        raise ValueError(f"partition covers {len(nodes)} of {n} nodes")
+
     label = np.empty(n, dtype=np.intp)
-    for k, g in enumerate(g for g in groups if len(g)):
-        label[g] = k
+    label[nodes] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(np.diff(label[order], prepend=-1)).tolist()
     group_end = dict(zip(starts, starts[1:] + [n]))
@@ -206,6 +210,8 @@ def organization_partition(organizations, n_bodies: int) -> list[list[int]]:
     tree.
     """
     groups = [list(org.members) for org in organizations]
-    covered = {i for g in groups for i in g}
-    rest = [i for i in range(n_bodies) if i not in covered]
+    members = np.fromiter(chain.from_iterable(groups), dtype=int)
+    covered = np.zeros(n_bodies, dtype=bool)
+    covered[members[(0 <= members) & (members < n_bodies)]] = True
+    rest = np.flatnonzero(~covered).tolist()
     return groups + [rest] if rest else groups

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
 
-from .geometry import AABB, CellCoord, Vec2, cell_box, child_coords
+from .geometry import AABB, CellCoord, Vec2, cell_box, child_coords, from_slots
 
 # Scratch memory of radius_hits is bounded per block of targets and per chunk
 # of a block.  Their widths are powers of two because numpy keeps freed arrays
@@ -61,6 +62,29 @@ class Body:
         if not (self.position.is_finite() and self.velocity.is_finite()
                 and math.isfinite(self.charge)):
             raise ValueError(f"body {self.id} has a non-finite component")
+
+
+def bodies_from_columns(ids, species, x, y, vx, vy, charge) -> list[Body]:
+    """Body(ids[k], species[k], Vec2(x[k], y[k]), Vec2(vx[k], vy[k]), charge[k])
+    for every k, from equal-length sequences or arrays.
+
+    Body.__post_init__'s checks run over the columns, and the first bad body
+    raises the ValueError that its own construction would.  The objects are
+    then filled slot by slot (from_slots), with no __init__ per object.
+    """
+    cols = [np.asarray(c) for c in (ids, species, x, y, vx, vy, charge)]
+    ids, species, x, y, vx, vy, charge = (c.tolist() if isinstance(c, np.ndarray) else c
+                                          for c in (ids, species, x, y, vx, vy, charge))
+    finite = np.logical_and.reduce([np.isfinite(c) for c in cols[2:]])
+    bad = (cols[0] < 0) | (cols[1] < 0) | ~finite
+    for k in np.flatnonzero(bad)[:1].tolist():  # Body's own checks, in its order
+        if ids[k] < 0:
+            raise ValueError(f"negative body id: {ids[k]}")
+        if species[k] < 0:
+            raise ValueError(f"negative species index: {species[k]}")
+        raise ValueError(f"body {ids[k]} has a non-finite component")
+    return from_slots(Body, ids, species, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy),
+                      charge)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,21 +178,32 @@ class NTree:
 
         return view(CellCoord(0, 0, 0), self.root_box), leaves
 
-    def leaf_cells(self, min_depth: int = 0) -> dict[CellCoord, tuple[int, ...]]:
-        """Non-empty leaf cells at depth >= min_depth, mapped to their body ids.
+    def leaf_rows(self, min_depth: int = 0) -> np.ndarray:
+        """Rows of the non-empty leaf cells at depth >= min_depth, depth-first.
 
         The depth cut is inclusive, so deeper leaves always survive a cut that
-        their shallower siblings pass.  Cells come in depth-first order.
+        their shallower siblings pass.
         """
         if min_depth < 0:
             raise ValueError(f"negative depth threshold: {min_depth}")
         n = len(self.first) - 1
         rows = np.flatnonzero((self.first[:n] >= n) & (self.coords[0] >= min_depth))
-        rows = rows[np.argsort(self.first[rows])]
-        ids = self.id[n:].tolist()
-        # Rows hold valid coordinates by construction, so CellCoord's checks are skipped.
-        return {tuple.__new__(CellCoord, c): tuple(ids[f - n:f - n + k]) for c, f, k in zip(
-            self.coords[:, rows].T.tolist(), self.first[rows].tolist(), self.count[rows].tolist())}
+        return rows[np.argsort(self.first[rows])]
+
+    def cell_coords(self, rows: np.ndarray) -> list[CellCoord]:
+        """The cells of node rows.  Rows hold valid coordinates by
+        construction, so CellCoord's checks are skipped."""
+        return list(map(tuple.__new__, repeat(CellCoord), self.coords[:, rows].T.tolist()))
+
+    def cell_bodies(self, rows: np.ndarray) -> dict[CellCoord, tuple[int, ...]]:
+        """The cells of leaf rows, in their order, mapped to their body ids."""
+        ids = self.id.tolist()
+        return {c: tuple(ids[f:f + k]) for c, f, k in zip(
+            self.cell_coords(rows), self.first[rows].tolist(), self.count[rows].tolist())}
+
+    def leaf_cells(self, min_depth: int = 0) -> dict[CellCoord, tuple[int, ...]]:
+        """The cells of leaf_rows(min_depth), mapped to their body ids."""
+        return self.cell_bodies(self.leaf_rows(min_depth))
 
     def query_radius(self, center: Vec2, radius: float) -> list[int]:
         """Ids of the bodies query_radius_bodies returns, in the same order."""

@@ -17,7 +17,7 @@ from .errors import ConfigError, DynamicsError
 from .geometry import Vec2
 from .kernels import MODE_GRAVITY, direct_fields, tree_fields
 from .metrics import interaction_graph, modularity, organization_partition
-from .ntree import Body, NTree, build_tree
+from .ntree import Body, NTree, bodies_from_columns, build_tree
 from .svg import render_svg
 from .trace import (Frame, bodies_from_frame_dict, dumps_canonical,
                     frame_to_dict, header_dict, organization_from_dict,
@@ -36,24 +36,24 @@ def place_bodies(config: Config) -> list[Body]:
     Bodies get sequential ids across species in declaration order and start
     at rest.
     """
-    bodies: list[Body] = []
-    next_id = 0
+    species, charge, x, y = [], [], [], []
     for index, sp in enumerate(config.species):
         rng = random.Random(sp.seed)
         cx, cy = sp.center
         for _ in range(sp.count):
             r = sp.radius * math.sqrt(rng.random())
             angle = 2.0 * math.pi * rng.random()
-            bodies.append(Body(next_id, index,
-                               Vec2(cx + r * math.cos(angle), cy + r * math.sin(angle)),
-                               Vec2(0.0, 0.0), sp.charge))
-            next_id += 1
-    return bodies
+            x.append(cx + r * math.cos(angle))
+            y.append(cy + r * math.sin(angle))
+        species += [index] * sp.count
+        charge += [sp.charge] * sp.count
+    rest = [0.0] * len(x)
+    return bodies_from_columns(range(len(x)), species, x, y, rest, rest, charge)
 
 
 def detect_organizations(tree: NTree, depth: int, min_org_size: int = 1,
                          seed: int = 0) -> list[Organization]:
-    """Depth cut, union-find grouping, then materialization and size filtering.
+    """Depth cut, grouping (group_cells2), then materialization and size filtering.
 
     min_org_size drops groups with fewer cells, a noise filter that applies
     uniformly to traces, offline detection, and SVGs so the three always

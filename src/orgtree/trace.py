@@ -16,7 +16,7 @@ from typing import Any
 from .detect import Organization
 from .errors import ConfigError, DynamicsError
 from .geometry import AABB, CellCoord, Vec2
-from .ntree import Body
+from .ntree import Body, bodies_from_columns
 
 TRACE_VERSION = 1
 _TAIL_BYTES = 64
@@ -82,11 +82,15 @@ def frame_to_dict(frame: Frame) -> dict[str, Any]:
 
 
 def bodies_from_frame_dict(data: dict[str, Any], charge: float = 1.0) -> list[Body]:
-    """Rebuild body objects from a frame line; charge is not recorded."""
-    return [Body(int(b["id"]), int(b["species"]),
-                 Vec2(float(b["x"]), float(b["y"])),
-                 Vec2(float(b["vx"]), float(b["vy"])), charge)
-            for b in data["bodies"]]
+    """Rebuild body objects from a frame line; charge is not recorded.
+
+    Each body's values are converted in the order id, species, x, y, vx,
+    vy, body by body, and bodies_from_columns then checks them as Body does.
+    """
+    rows = [(int(b["id"]), int(b["species"]), float(b["x"]), float(b["y"]),
+             float(b["vx"]), float(b["vy"])) for b in data["bodies"]]
+    ids, species, x, y, vx, vy = zip(*rows) if rows else [()] * 6
+    return bodies_from_columns(ids, species, x, y, vx, vy, [charge] * len(rows))
 
 
 def _decode(path: Path, lineno: int, line: bytes) -> Any:

@@ -23,7 +23,7 @@ import numpy as np
 
 from orgtree.boids import (BOUNDARY_REFLECT, COHESION_LITERAL, COHESION_MODES,
                            COHESION_NORMALIZED, WorldState, _velocities)
-from orgtree.detect import CellSet
+from orgtree.detect import CellSet, Organization
 from orgtree.errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceError
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
 from orgtree.kernels import KernelParams
@@ -110,6 +110,54 @@ def brute_force_groups(coords) -> set[frozenset[CellCoord]]:
             if rational_cells_touch(a, b):
                 uf.union(a, b)
     return uf.components()
+
+
+def _mean(values: list[float]) -> float:
+    """The mean of finite floats, fsum over the count; when the sum
+    overflows, the mean of the values scaled by 2^-k, 2^k above their
+    count, scaled back."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / len(values), k)
+
+
+def organizations_reference(groups, tree) -> list[Organization]:
+    """organizations_from one member at a time: a dict from each node row's
+    coordinate to the row, Python lists per group, min and max over them.
+
+    A cell with a leaf row gives its bodies; one with no row whose parent
+    row is internal is an empty leaf and gives none; any other cell raises
+    ValueError.  A group without members is dropped, and the others are
+    ordered by descending member count, then by their smallest cell.
+    """
+    n = len(tree.first) - 1
+    first, count, ids = tree.first.tolist(), tree.count.tolist(), tree.id.tolist()
+    px, py = tree.cx.tolist(), tree.cy.tolist()
+    row = {c: k for k, c in enumerate(zip(*tree.coords.tolist()))}
+    protos = []
+    for raw in groups:
+        cell_group = frozenset(raw)
+        rows: list[int] = []
+        for c in sorted(cell_group):
+            d, ix, iy = c
+            k, parent = row.get(c), row.get((d - 1, ix >> 1, iy >> 1))
+            if k is not None and first[k] >= n:
+                rows.extend(range(first[k], first[k] + count[k]))
+            elif k is not None or parent is None or first[parent] >= n:
+                raise ValueError(f"cell ({d}, {ix}, {iy}) is not a leaf of the tree")
+        if not rows:
+            continue
+        rows.sort(key=ids.__getitem__)
+        members = tuple(ids[k] for k in rows)
+        xs, ys = [px[k] for k in rows], [py[k] for k in rows]
+        centroid = Vec2(_mean(xs), _mean(ys))
+        bbox = AABB(Vec2(min(xs), min(ys)), Vec2(max(xs), max(ys)))
+        protos.append((cell_group, members, centroid, bbox))
+    protos.sort(key=lambda t: (-len(t[1]), min(t[0])))
+    return [Organization(i, cells, members, centroid, bbox)
+            for i, (cells, members, centroid, bbox) in enumerate(protos)]
 
 
 def neighbors_of(node, c: CellCoord, cells) -> list[CellCoord]:

@@ -141,12 +141,12 @@ def test_tree_field_scales_subquadratically_where_direct_does_not():
     # Round by round across the sizes: a slow phase of the host shorter than
     # a round meets at most one of a size's sweeps.  Each size keeps its best.
     # A tree sweep takes only tens of milliseconds, so it gets five rounds; the
-    # direct sweeps take the first two, the 8k one only the first.
+    # 2k and 4k direct sweeps take the first three, the 8k one only the first.
     for rnd in range(5):
         for k, n in enumerate(sizes):
             tree_times[k] = min(tree_times[k], timed(
                 lambda: tree_fields(build_tree(bodies[n], UNIT_BOX, 10), params)))
-            if rnd == 0 or rnd == 1 and n != 8000:
+            if rnd == 0 or rnd < 3 and n != 8000:
                 direct_times[k] = min(direct_times[k], timed(
                     lambda: direct_fields(bodies[n], params)))
 

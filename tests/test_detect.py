@@ -1,13 +1,15 @@
+import math
 import random
 
 import pytest
 
 from orgtree.detect import (CellSet, group_cells, group_cells2,
                             organizations_from)
-from orgtree.geometry import CellCoord, Vec2, cells_touch
+from orgtree.geometry import AABB, CellCoord, Vec2, cells_touch, child_coords
 from orgtree.ntree import Body, build_tree
 from conftest import UNIT_BOX, uniform_tree
-from oracles import brute_force_groups, leaf_at, neighbors_of, rational_cells_touch
+from oracles import (brute_force_groups, leaf_at, neighbors_of, organizations_reference,
+                     rational_cells_touch)
 
 
 def random_cut(seed, n_max=400):
@@ -338,3 +340,178 @@ class TestUnionFindGrouping:
                 rng.shuffle(coords)
                 assert as_partition(group_cells2(coords, tree, seed=k)) == baseline
             assert baseline == brute_force_groups(coords)
+
+
+def org_fields(orgs):
+    """Every field of each organization, the floats by their bits."""
+    return [(o.id, o.cells, o.members, *(v.hex() for v in (
+        o.centroid.x, o.centroid.y, o.bounding_box.lo.x, o.bounding_box.lo.y,
+        o.bounding_box.hi.x, o.bounding_box.hi.y))) for o in orgs]
+
+
+def outcome(groups, tree):
+    """organizations_from's fields, or the text of its ValueError."""
+    try:
+        return org_fields(organizations_from(groups, tree))
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_outcome(groups, tree):
+    try:
+        return org_fields(organizations_reference(groups, tree))
+    except ValueError as exc:
+        return str(exc)
+
+
+def row_cells(tree):
+    """(internal rows, empty leaves, non-empty leaves) of a tree, as cells."""
+    n = len(tree.first) - 1
+    coords = [CellCoord(*c) for c in tree.coords.T.tolist()]
+    inner = [c for c, f in zip(coords, tree.first[:n].tolist()) if f < n]
+    rows, split = set(coords), set(inner)
+    empty = [k for c in inner for k in child_coords(c) if k not in rows]
+    return inner, empty, [c for c in coords if c not in split]
+
+
+def random_groups(rng, cells):
+    """The cells dealt into a few groups, some cells twice, maybe an empty group."""
+    groups = [[] for _ in range(rng.randrange(1, 5))]
+    for c in cells:
+        rng.choice(groups).append(c)
+        if rng.random() < 0.1:
+            rng.choice(groups).append(c)
+    if rng.random() < 0.3:
+        groups.append([])
+    return groups
+
+
+def pile_scene(rng):
+    """Piles of coincident and near-coincident bodies, which bottom out at
+    max_depth, among a few lone bodies."""
+    max_depth = rng.choice([6, 12, 20, 53])
+    bodies = []
+    for _ in range(rng.randrange(1, 5)):
+        x, y = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        for _ in range(rng.randrange(2, 7)):
+            bodies.append(Body(len(bodies), 0, Vec2(x + rng.choice([0.0, 2.0 ** -40, -1e-13]),
+                                                    y + rng.choice([0.0, 1e-13])), Vec2(0.0, 0.0)))
+    for _ in range(rng.randrange(0, 30)):
+        bodies.append(Body(len(bodies), 0, Vec2(rng.random(), rng.random()), Vec2(0.0, 0.0)))
+    return build_tree(bodies, UNIT_BOX, 1, max_depth), rng.randrange(1, 8)
+
+
+def edge_scene(rng):
+    """Bodies on the four root edges, -0.0 among them, so min and max meet
+    ties of 0.0 and -0.0."""
+    bodies = []
+    for _ in range(rng.randrange(5, 40)):
+        t = rng.random()
+        zero = rng.choice([0.0, -0.0])
+        x, y = rng.choice([(zero, t), (1.0, t), (t, zero), (t, 1.0), (zero, zero)])
+        bodies.append(Body(len(bodies), 0, Vec2(x, y), Vec2(0.0, 0.0)))
+    return build_tree(bodies, UNIT_BOX, rng.choice([1, 2])), rng.randrange(1, 5)
+
+
+def deep_scene(rng):
+    """Piles one float step apart at 0.5, where a depth-53 cell of the unit box
+    is one step wide, so the cut at depth 40 keeps cells of depth 40 to 53."""
+    ulp = 2.0 ** -53
+    bodies = []
+    for _ in range(rng.randrange(2, 8)):
+        x = 0.5 + rng.randrange(-4, 5) * ulp
+        y = 0.25 + rng.randrange(-4, 5) * ulp
+        bodies += [Body(len(bodies) + k, 0, Vec2(x, y), Vec2(0.0, 0.0)) for k in range(2)]
+    for k in rng.sample(range(39, 52), 3):  # lone bodies whose leaves lie between
+        bodies.append(Body(len(bodies), 0, Vec2(0.5 - 2.0 ** -k, 0.25), Vec2(0.0, 0.0)))
+    bodies.append(Body(len(bodies), 0, Vec2(0.9, 0.9), Vec2(0.0, 0.0)))
+    return build_tree(bodies, UNIT_BOX, 1, 53), 40
+
+
+def uniform_scene(rng):
+    tree, _ = uniform_tree(rng.randrange(5, 150), seed=rng.randrange(10 ** 6),
+                           capacity=rng.choice([1, 3, 10]))
+    return tree, rng.randrange(1, 6)
+
+
+class TestArrayDetectionMatchesTheReferences:
+    """group_cells2 against the all-pairs oracle, and organizations_from against
+    the per-member reference, field by field and bit for bit."""
+
+    @pytest.mark.parametrize("scene", [uniform_scene, pile_scene, edge_scene, deep_scene])
+    def test_tree_cuts_and_regroupings(self, scene):
+        rng = random.Random(scene.__name__)
+        depths = set()
+        for _ in range(12):
+            tree, depth = scene(rng)
+            cut = CellSet.from_tree(tree, depth)
+            depths |= {c.depth for c in cut.coords()}
+            groups = group_cells2(cut, tree)
+            assert as_partition(groups) == brute_force_groups(cut.coords())
+            assert outcome(groups, tree) == reference_outcome(groups, tree)
+            inner, empty, leaves = row_cells(tree)
+            pool = list(cut.coords()) + rng.sample(empty, min(len(empty), 3))
+            regrouped = random_groups(rng, pool)
+            assert outcome(regrouped, tree) == reference_outcome(regrouped, tree)
+            # A cell that is no leaf: an internal row, or one inside a leaf or an empty leaf.
+            bad = inner + [k for c in leaves + empty if c.depth < 53 for k in child_coords(c)]
+            if bad:
+                regrouped[rng.randrange(len(regrouped))].append(rng.choice(bad))
+                got = outcome(regrouped, tree)
+                assert isinstance(got, str) and got == reference_outcome(regrouped, tree)
+        if scene is deep_scene:
+            assert min(depths) <= 42 and max(depths) == 53
+
+    def test_nested_and_deep_pools(self):
+        rng = random.Random(53)
+        tree, _ = uniform_tree(40, seed=4, capacity=2)
+        for _ in range(150):
+            # Shallow cells anywhere; deep ones around one point, so they touch.
+            # Past depth 62 the coordinates leave int64.
+            ax, ay = rng.randrange(1 << 64), rng.randrange(1 << 64)
+            pool = []
+            for _ in range(rng.randrange(1, 20)):
+                d = rng.choice([0, 1, 2, 3, 4, 5, 40, 47, 53, 64])
+                if d <= 5:
+                    pool.append(CellCoord(d, rng.randrange(1 << d), rng.randrange(1 << d)))
+                else:
+                    ix, iy = ((a >> (64 - d)) + rng.randrange(-1, 2) for a in (ax, ay))
+                    pool.append(CellCoord(d, min(max(ix, 0), (1 << d) - 1),
+                                          min(max(iy, 0), (1 << d) - 1)))
+            assert as_partition(group_cells2(pool, tree)) == brute_force_groups(pool)
+            assert as_partition(group_cells2(iter(pool * 2), tree)) == brute_force_groups(pool)
+            groups = random_groups(rng, pool)
+            assert outcome(groups, tree) == reference_outcome(groups, tree)
+
+    def test_centroids_of_members_near_the_float_limit(self):
+        # Five members near +-1.6e308: each coordinate sum overflows, the mean
+        # does not, and it keeps the reference's bits.
+        for sign in (1.0, -1.0):
+            corner = Vec2(sign * 1.7e308, sign * 1.7e308)
+            box = AABB(Vec2(0.0, 0.0), corner) if sign > 0 else AABB(corner, Vec2(0.0, 0.0))
+            rng = random.Random(7)
+            bodies = [Body(i, 0, Vec2(sign * rng.uniform(1.59e308, 1.61e308),
+                                      sign * rng.uniform(1.59e308, 1.61e308)), Vec2(0.0, 0.0))
+                      for i in range(5)]
+            bodies.append(Body(5, 0, Vec2(sign * 1e300, sign * 1e300), Vec2(0.0, 0.0)))
+            tree = build_tree(bodies, box, 1)
+            cut = CellSet.from_tree(tree, 1)
+            for groups in (group_cells2(cut, tree), [cut.coords()]):
+                want = org_fields(organizations_reference(groups, tree))
+                assert org_fields(organizations_from(groups, tree)) == want
+            whole, = organizations_from([cut.coords()], tree)
+            assert whole.members == tuple(range(6))
+            with pytest.raises(OverflowError):
+                math.fsum(b.position.x for b in bodies)
+            for c, lo, hi in ((whole.centroid.x, whole.bounding_box.lo.x, whole.bounding_box.hi.x),
+                              (whole.centroid.y, whole.bounding_box.lo.y, whole.bounding_box.hi.y)):
+                assert math.isfinite(c) and lo <= c <= hi
+
+
+def test_no_cell_of_a_tree_without_bodies_is_a_leaf():
+    tree = build_tree([], UNIT_BOX, 1)
+    for groups in ([[CellCoord(0, 0, 0)]], [[CellCoord(1, 0, 0)]]):
+        with pytest.raises(ValueError, match="is not a leaf of the tree"):
+            organizations_from(groups, tree)
+        assert outcome(groups, tree) == reference_outcome(groups, tree)
+    assert organizations_from([[]], tree) == [] and group_cells2([], tree) == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from orgtree import metrics
 from orgtree.detect import CellSet, group_cells2, organizations_from
 from orgtree.geometry import Vec2
-from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_RAW, WeightedGraph,
+from orgtree.metrics import (TRANSFORM_GAUSSIAN, TRANSFORM_INVERSE, TRANSFORM_RAW, WeightedGraph,
                              interaction_graph, modularity,
                              organization_partition)
 from orgtree.ntree import Body, build_tree
@@ -154,6 +154,18 @@ class TestModularity:
         g = graph_from([[0, 1], [1, 0]])
         with pytest.raises(ValueError):
             modularity(g, [[0, 1], [1]])
+
+    @pytest.mark.parametrize("partition, message", [
+        ([[0, 1], [1, 5]], "node 1 appears in more than one group"),
+        ([[0, 5], [1, 1]], "node 5 out of range for graph of 3"),
+        ([[2, -1], [2]], "node -1 out of range for graph of 3"),
+        ([(i for i in (0, 2)), {2}], "node 2 appears in more than one group"),
+        ([[0], [], [2]], "partition covers 2 of 3 nodes"),
+    ])
+    def test_the_first_bad_node_in_partition_order_is_named(self, partition, message):
+        g = graph_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            modularity(g, partition)
 
 
 def detected_partition(bodies, capacity, depth, seed=0):
@@ -355,3 +367,16 @@ class TestDetectedBeatsRandom:
                 at += s
             q_random = modularity(graph, shuffled)
             assert q_detected > q_random
+
+
+@pytest.mark.parametrize("transform, kwargs, bits", [
+    (TRANSFORM_INVERSE, {}, "0x1.fa26a924e46a6p-2"),
+    (TRANSFORM_GAUSSIAN, {"sigma": 3.0}, "0x1.498deac8620adp-1"),
+    (TRANSFORM_RAW, {}, "-0x1.060b5849777b5p-2"),
+])
+def test_detected_modularity_keeps_its_bits(transform, kwargs, bits):
+    # Q of a 600-body three-blob scene, pinned from the row blocks that formed
+    # dx as x_i - x_j: x_j - x_i is its exact negation, with the same square.
+    bodies = clustered_bodies([(20.0, 30.0), (70.0, 25.0), (45.0, 75.0)], 200, 8.0, seed=19)
+    orgs = detected_partition(bodies, 2, 5)
+    assert modularity(interaction_graph(bodies, transform, **kwargs), orgs).hex() == bits

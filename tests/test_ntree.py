@@ -10,7 +10,7 @@ import numpy as np
 
 from orgtree import ntree
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box
-from orgtree.ntree import Body, NTree, build_tree, radius_hits
+from orgtree.ntree import Body, NTree, bodies_from_columns, build_tree, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import (aggregates, build_reference, collect_bodies, dump_leaves,
                      flatten_reference, linear_radius, query_radius_walk,
@@ -467,3 +467,48 @@ def test_spans_expand_span_by_span_as_a_loop_does(spans):
     got_owner, got = ntree._spans(owner, start, size)
     want = [(o, i) for o, (s, k) in zip(owner.tolist(), spans) for i in range(s, s + k)]
     assert list(zip(got_owner.tolist(), got.tolist())) == want
+
+
+class TestBodiesFromColumns:
+    @staticmethod
+    def columns(n, seed):
+        rng = random.Random(seed)
+        return [list(range(3, 3 + n)), [rng.randrange(3) for _ in range(n)],
+                *([rng.uniform(-5.0, 5.0) for _ in range(n)] for _ in range(4)),
+                [rng.choice([1.0, -2.5, 0.0]) for _ in range(n)]]
+
+    @staticmethod
+    def one_by_one(cols):
+        return [Body(i, s, Vec2(x, y), Vec2(u, v), q) for i, s, x, y, u, v, q in zip(*cols)]
+
+    def test_bodies_equal_hash_and_freeze_like_the_constructor(self):
+        cols = self.columns(50, seed=1)
+        for given in (cols, [np.array(c) for c in cols]):
+            made = bodies_from_columns(*given)
+            want = self.one_by_one(cols)
+            assert made == want
+            assert [hash(b) for b in made] == [hash(b) for b in want]
+            assert all(type(b) is Body and type(b.position) is Vec2 and type(b.velocity) is Vec2
+                       and type(b.id) is int and type(b.position.x) is float for b in made)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made[0].id = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            made[0].position.x = 1.0
+        assert bodies_from_columns([], [], [], [], [], [], []) == []
+
+    @pytest.mark.parametrize("column, value", [
+        (0, -1), (1, -2), (2, math.nan), (3, math.inf), (4, -math.inf), (5, math.nan),
+        (6, math.inf)])
+    def test_a_bad_column_raises_the_constructors_error_for_the_first_bad_body(self, column,
+                                                                                value):
+        cols = self.columns(20, seed=2)
+        cols[column][7] = value
+        # A later body that fails every check does not come first.
+        cols[0][12], cols[1][12], cols[2][12] = -5, -5, math.nan
+        with pytest.raises(ValueError) as want:
+            self.one_by_one(cols)
+        with pytest.raises(ValueError) as got:
+            bodies_from_columns(*cols)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == {0: "negative body id: -1", 1: "negative species index: -2"}.get(
+            column, "body 10 has a non-finite component")
