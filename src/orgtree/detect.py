@@ -6,15 +6,16 @@ the surviving cells mark crowded areas.  Grouping then partitions those cells
 into connected components under closed-box adjacency, where sharing an edge
 or a single corner point counts as contact.
 
-Two interchangeable grouping routines are provided.  `group_cells` is the
-quadratic reference sweep.  `group_cells2` works on arrays: each cell is an
-interval of Z-order codes (Warren & Salmon 1993) at the pool's deepest
-depth, one binary search per same-depth neighbour finds the pooled cell
-that contains it, and pointer jumping (Shiloach & Vishkin 1982) labels the
-components.  Both return the same partition for any input and any seed,
-which the test suite checks against an independent union-find oracle.
-`organizations_from` finds each group's leaf rows by the same intervals and
-reduces their body spans with numpy.
+A cut (`CellSet`) holds the tree's leaf rows, depth-first, as `from_tree`
+builds them.  Two grouping routines are provided.  `group_cells` is the
+quadratic reference sweep, and groups any pool of cells.  `group_cells2`
+groups a cut over arrays: each cell is an interval of Z-order codes (Warren
+& Salmon 1993) at the cut's deepest depth, one binary search per same-depth
+neighbour finds the cut leaf that contains it, and pointer jumping
+(Shiloach & Vishkin 1982) labels the components.  On a cut both return the
+same partition for any seed, which the test suite checks against an
+independent union-find oracle.  `organizations_from` finds each group's
+leaf rows by the same intervals and reduces their body spans with numpy.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from .ntree import NTree, _spans
 
 @dataclass(frozen=True, eq=False)
 class CellSet:
-    """Cut result: the kept leaves as rows of their tree, depth-first.
-
-    `cells` maps their coordinates to body ids; it is built when first read.
-    """
+    """Cut result: the kept leaves as rows of their tree, depth-first, as
+    `from_tree` builds them.  `cells` maps their coordinates to body ids; it
+    is built when first read."""
 
     tree: NTree
     rows: np.ndarray
@@ -130,7 +130,8 @@ def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return label
 
 
-def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
+def group_cells(cells: CellSet | Iterable[CellCoord],
+                seed: int = 0) -> list[frozenset[CellCoord]]:
     """Reference grouping: seed a group on a random cell, sweep for contacts.
 
     Each sweep scans the remaining cells in sorted order and absorbs any cell
@@ -161,48 +162,32 @@ def group_cells(cells: CellSet, seed: int = 0) -> list[frozenset[CellCoord]]:
     return groups
 
 
-def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
-                 seed: int = 0) -> list[frozenset[CellCoord]]:
-    """Grouping over arrays: join each cell to the pooled cells around it.
+def group_cells2(cells: CellSet, tree: NTree, seed: int = 0) -> list[frozenset[CellCoord]]:
+    """Grouping over arrays: join each cut leaf to the cut leaves around it.
 
-    A cell c = (d, ix, iy) is joined with the deepest pooled cell that
-    contains each same-depth neighbour (nx, ny), where one outside
-    [0, 2**d) matches nothing, and with its own deepest pooled proper
-    ancestor.  A pooled cell no smaller than c touching c contains c or one
-    of those neighbours, and a smaller one finds c from its own side: the
-    components are those of `cells_touch`, nested pools too.
+    A cell c = (d, ix, iy) is joined with the cut leaf that contains each
+    same-depth neighbour (nx, ny), where one outside [0, 2**d) matches
+    nothing.  A cut leaf no smaller than c touching c contains c or one of
+    those neighbours, and a smaller one finds c from its own side: the
+    components are those of `cells_touch`.
 
-    With the pool sorted by interval (`_intervals`), the last cell starting
-    at or before a neighbour's first code is the only candidate when no
-    pooled cells nest; where they do, the search walks up from there
-    through the pooled ancestors.  A CellSet is read from its own tree's
-    rows; `tree` and `seed` are not read, and stay for callers that pass
-    them.
+    The cut's leaves come depth-first and never nest, so their intervals
+    (`_intervals`) are sorted and disjoint: the last one starting at or
+    before a neighbour's first code is its only candidate.  Plain pools go
+    to `group_cells`.  `tree` and `seed` are not read; they stay for callers.
     """
-    if isinstance(cells, CellSet):
-        coords = cells.tree.cell_coords(cells.rows)
-        d, ix, iy = cells.tree.coords[:, cells.rows]
-    else:
-        coords = list(dict.fromkeys(cells))
-        d, ix, iy = _columns(coords)
+    if not isinstance(cells, CellSet):
+        raise TypeError(f"group_cells2 takes a CellSet, not {type(cells).__name__}; "
+                        "group plain pools with group_cells")
+    coords = cells.tree.cell_coords(cells.rows)
     if not coords:
         return []
-    depth = int(d.max())
+    d, ix, iy = cells.tree.coords[:, cells.rows]
+    depth, m = int(d.max()), len(coords)
     zx, zy, shift = _codes(d, ix, iy, depth)
-    order = np.lexsort((d, (zx | zy) << shift))  # a cell before the cells it contains
-    d, ix, iy, zx, zy, shift = (v[order] for v in (d, ix, iy, zx, zy, shift))
-    lo, m = (zx | zy) << shift, len(order)
+    lo = (zx | zy) << shift
     # hi and d end in a sentinel that contains nothing, for the index -1.
     hi, d = np.append(((zx | zy) + 1) << shift, 0), np.append(d, -1)
-
-    # up: the deepest pooled proper ancestor, or -1.  It contains the cell,
-    # so it lies before it in this order, after every cell it does not contain.
-    up = np.full(m, -1)
-    if (hi[:m - 1] > lo[1:]).any():  # some pooled cells nest
-        up[1:] = np.arange(m - 1)
-        while (miss := (up >= 0) & (hi[up] <= lo)).any():
-            up[miss] = up[up[miss]]
-    up = np.append(up, -1)  # the sentinel's
 
     # The same-depth neighbours, x - 1, x and x + 1 by y - 1, y and y + 1 but
     # the cell itself, by arithmetic on the interleaved bits of their codes.
@@ -215,22 +200,15 @@ def group_cells2(cells: CellSet | Iterable[CellCoord], tree: NTree,
     keep = np.concatenate([np.broadcast_to(f, m) for _, f in near])
     who = np.tile(np.arange(m), len(near))[keep]
     start = np.concatenate([z for z, _ in near])[keep] << shift[who]
-    # The last cell starting at or before each neighbour's start; up the
-    # pooled ancestors until one contains the neighbour.
+    # The last cell starting at or before each neighbour's start, if it
+    # contains the neighbour and is no deeper; a same-depth pair finds itself
+    # from both sides, and one edge is enough.
     at = np.searchsorted(lo, start, "right") - 1
-    while True:
-        found = (hi[at] > start) & (d[at] <= d[who])
-        climb = ~found & (up[at] >= 0)
-        if not climb.any():
-            break
-        at[climb] = up[at[climb]]
-    # A same-depth pair finds itself from both sides; one edge is enough.
-    found &= (d[at] < d[who]) | (at < who)
-    label = _components(m, np.concatenate([who[found], np.flatnonzero(up >= 0)]),
-                        np.concatenate([at[found], up[up >= 0]]))
+    found = (hi[at] > start) & (d[at] <= d[who]) & ((d[at] < d[who]) | (at < who))
+    label = _components(m, who[found], at[found])
     by = np.argsort(label, kind="stable")
     cuts = (np.flatnonzero(np.diff(label[by])) + 1).tolist()
-    ordered = [coords[k] for k in order[by].tolist()]
+    ordered = [coords[k] for k in by.tolist()]
     return [frozenset(ordered[a:b]) for a, b in zip([0, *cuts], [*cuts, m])]
 
 

@@ -68,21 +68,18 @@ def bodies_from_columns(ids, species, x, y, vx, vy, charge) -> list[Body]:
     """Body(ids[k], species[k], Vec2(x[k], y[k]), Vec2(vx[k], vy[k]), charge[k])
     for every k, from equal-length sequences or arrays.
 
-    Body.__post_init__'s checks run over the columns, and the first bad body
-    raises the ValueError that its own construction would.  The objects are
-    then filled slot by slot (from_slots), with no __init__ per object.
+    Body.__post_init__'s checks run over the columns, and the first body they
+    flag is built as a Body, which raises its own ValueError.  The objects
+    are then filled slot by slot (from_slots), with no __init__ per object.
     """
     cols = [np.asarray(c) for c in (ids, species, x, y, vx, vy, charge)]
     ids, species, x, y, vx, vy, charge = (c.tolist() if isinstance(c, np.ndarray) else c
                                           for c in (ids, species, x, y, vx, vy, charge))
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols[2:]])
     bad = (cols[0] < 0) | (cols[1] < 0) | ~finite
-    for k in np.flatnonzero(bad)[:1].tolist():  # Body's own checks, in its order
-        if ids[k] < 0:
-            raise ValueError(f"negative body id: {ids[k]}")
-        if species[k] < 0:
-            raise ValueError(f"negative species index: {species[k]}")
-        raise ValueError(f"body {ids[k]} has a non-finite component")
+    for k in np.flatnonzero(bad)[:1].tolist():
+        Body(ids[k], species[k], Vec2(x[k], y[k]), Vec2(vx[k], vy[k]), charge[k])
+        raise AssertionError(f"the column checks flag body {ids[k]}, which Body accepts")
     return from_slots(Body, ids, species, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy),
                       charge)
 

@@ -20,6 +20,7 @@ SPECIES_PALETTE = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
 
 RAMP_LO = 0.30
 RAMP_HI = 0.90
+SIZE = 800.0  # the longer side of the picture, in SVG units
 
 
 def _gray(depth: int, max_depth: int) -> str:
@@ -28,11 +29,10 @@ def _gray(depth: int, max_depth: int) -> str:
     return f"#{v:02x}{v:02x}{v:02x}"
 
 
-def render_svg(tree: NTree, organizations: Iterable[Organization],
-               size: float = 800.0) -> str:
+def render_svg(tree: NTree, organizations: Iterable[Organization]) -> str:
     """Render one frame as a standalone SVG document string."""
     box = tree.root_box
-    scale = size / max(box.width, box.height)
+    scale = SIZE / max(box.width, box.height)
     width = box.width * scale
     height = box.height * scale
 

@@ -81,8 +81,8 @@ def frame_to_dict(frame: Frame) -> dict[str, Any]:
     return out
 
 
-def bodies_from_frame_dict(data: dict[str, Any], charge: float = 1.0) -> list[Body]:
-    """Rebuild body objects from a frame line; charge is not recorded.
+def bodies_from_frame_dict(data: dict[str, Any]) -> list[Body]:
+    """Rebuild body objects from a frame line; charge is not recorded: 1.0.
 
     Each body's values are converted in the order id, species, x, y, vx,
     vy, body by body, and bodies_from_columns then checks them as Body does.
@@ -90,7 +90,7 @@ def bodies_from_frame_dict(data: dict[str, Any], charge: float = 1.0) -> list[Bo
     rows = [(int(b["id"]), int(b["species"]), float(b["x"]), float(b["y"]),
              float(b["vx"]), float(b["vy"])) for b in data["bodies"]]
     ids, species, x, y, vx, vy = zip(*rows) if rows else [()] * 6
-    return bodies_from_columns(ids, species, x, y, vx, vy, [charge] * len(rows))
+    return bodies_from_columns(ids, species, x, y, vx, vy, [1.0] * len(rows))
 
 
 def _decode(path: Path, lineno: int, line: bytes) -> Any:

@@ -1,13 +1,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from orgtree.detect import (CellSet, group_cells, group_cells2,
                             organizations_from)
 from orgtree.geometry import AABB, CellCoord, Vec2, cells_touch, child_coords
 from orgtree.ntree import Body, build_tree
-from conftest import UNIT_BOX, uniform_tree
+from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import (brute_force_groups, leaf_at, neighbors_of, organizations_reference,
                      rational_cells_touch)
 
@@ -22,6 +23,16 @@ def random_cut(seed, n_max=400):
 
 def as_partition(groups):
     return {frozenset(g) for g in groups}
+
+
+def z_interval(c, depth):
+    """The cell's interval of Z-order codes at `depth`, built bit by bit: bit
+    b of ix goes to bit 2b of the code, bit b of iy to bit 2b + 1."""
+    z = 0
+    for b in range(c.depth):
+        z |= ((c.ix >> b) & 1) << 2 * b | ((c.iy >> b) & 1) << 2 * b + 1
+    shift = 2 * (depth - c.depth)
+    return z << shift, (z + 1) << shift
 
 
 def one_sweep_groups(cells, seed):
@@ -62,6 +73,35 @@ class TestCellSet:
         cut = CellSet.from_tree(tree, 0)
         assert sorted(i for ids in cut.cells.values() for i in ids) == \
             [b.id for b in bodies]
+
+    def test_rows_are_leaves_in_z_order(self):
+        # group_cells2 reads a cut's rows, in their own order, as sorted and
+        # disjoint Z intervals.  Scenes: the grouping gate's kind, piles down
+        # to depth 53, and bodies on the root's edges; each cut at 0 too.
+        rng = random.Random(20260822)
+        boxes = (UNIT_BOX, BOX_100, AABB(Vec2(-8.0, 2.0), Vec2(24.0, 18.0)))
+        scenes = []
+        for i in range(60):
+            n = round(10.0 ** rng.uniform(math.log10(2), math.log10(1000)))
+            box = boxes[i % len(boxes)]
+            tree = build_tree(uniform_bodies(n, seed=5000 + i, box=box), box,
+                              rng.choice([1, 3, 10]))
+            scenes.append((tree, rng.randint(2, 6)))
+        scenes += [scene(rng) for scene in (pile_scene, edge_scene, deep_scene) for _ in range(8)]
+        depths = set()
+        for tree, min_depth in scenes + [(tree, 0) for tree, _ in scenes]:
+            rows = CellSet.from_tree(tree, min_depth).rows
+            n = len(tree.first) - 1
+            assert (tree.first[rows] >= n).all() and (tree.count[rows] > 0).all()
+            assert (np.diff(tree.first[rows]) > 0).all()
+            cells = tree.cell_coords(rows)
+            assert all(c.depth >= min_depth for c in cells)
+            depths |= {c.depth for c in cells}
+            deepest = max((c.depth for c in cells), default=0)
+            spans = [z_interval(c, deepest) for c in cells]
+            assert all(lo < hi for lo, hi in spans)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
+        assert 53 in depths and len(depths) > 10
 
     def test_membership_protocol(self):
         tree, _ = uniform_tree(50, seed=3, capacity=2)
@@ -153,6 +193,12 @@ class TestGroupCells2:
         baseline = as_partition(group_cells2(cut, tree, seed=0))
         for seed in range(1, 8):
             assert as_partition(group_cells2(cut, tree, seed=seed)) == baseline
+
+    def test_only_a_cut_is_grouped(self):
+        tree, cut = random_cut(4321)
+        for pool in (list(cut.coords()), cut.coords(), iter(cut.coords())):
+            with pytest.raises(TypeError, match="group_cells"):
+                group_cells2(pool, tree)
 
     def test_empty_cut(self):
         tree, _ = uniform_tree(3, seed=1, capacity=10)
@@ -267,7 +313,7 @@ class TestUnionFindGrouping:
         assert CellCoord(3, 3, 3) in cut and len(cut) == 2
         assert len(self.check(tree, cut)) == 1
         diagonal = [CellCoord(2, 0, 0), CellCoord(2, 1, 1), CellCoord(2, 3, 0)]
-        assert as_partition(group_cells2(diagonal, tree)) == brute_force_groups(diagonal)
+        assert as_partition(group_cells(diagonal)) == brute_force_groups(diagonal)
 
     def test_cells_on_all_four_root_edges(self):
         rng = random.Random(11)
@@ -306,16 +352,6 @@ class TestUnionFindGrouping:
         tree = build_tree(bodies, UNIT_BOX, 1)
         cut = CellSet.from_tree(tree, 0)
         assert group_cells2(cut, tree) == [frozenset({CellCoord(0, 0, 0)})]
-        lone = [CellCoord(5, 31, 0)]
-        assert group_cells2(lone, tree) == [frozenset(lone)]
-
-    def test_plain_iterable_pool(self):
-        for seed in range(90, 100):
-            tree, cut = random_cut(seed)
-            want = brute_force_groups(cut.coords())
-            assert as_partition(group_cells2(sorted(cut.coords()), tree)) == want
-            assert as_partition(group_cells2(iter(cut.coords()), tree)) == want
-            assert as_partition(group_cells2(list(cut.coords()) * 2, tree)) == want
 
     def test_nested_pools_match_the_oracle(self):
         # Cells that contain one another touch; a pool need not be a tree cut.
@@ -327,7 +363,6 @@ class TestUnionFindGrouping:
                 d = rng.randrange(0, 5)
                 pool.add(CellCoord(d, rng.randrange(1 << d), rng.randrange(1 << d)))
             want = brute_force_groups(pool)
-            assert as_partition(group_cells2(pool, tree)) == want
             assert as_partition(group_cells(pool)) == want
 
     def test_partition_ignores_seed_and_input_order(self):
@@ -335,10 +370,8 @@ class TestUnionFindGrouping:
             tree, cut = random_cut(seed)
             coords = sorted(cut.coords())
             baseline = as_partition(group_cells2(cut, tree))
-            rng = random.Random(seed)
             for k in range(6):
-                rng.shuffle(coords)
-                assert as_partition(group_cells2(coords, tree, seed=k)) == baseline
+                assert as_partition(group_cells2(cut, tree, seed=k)) == baseline
             assert baseline == brute_force_groups(coords)
 
 
@@ -478,8 +511,7 @@ class TestArrayDetectionMatchesTheReferences:
                     ix, iy = ((a >> (64 - d)) + rng.randrange(-1, 2) for a in (ax, ay))
                     pool.append(CellCoord(d, min(max(ix, 0), (1 << d) - 1),
                                           min(max(iy, 0), (1 << d) - 1)))
-            assert as_partition(group_cells2(pool, tree)) == brute_force_groups(pool)
-            assert as_partition(group_cells2(iter(pool * 2), tree)) == brute_force_groups(pool)
+            assert as_partition(group_cells(pool)) == brute_force_groups(pool)
             groups = random_groups(rng, pool)
             assert outcome(groups, tree) == reference_outcome(groups, tree)
 
@@ -514,4 +546,5 @@ def test_no_cell_of_a_tree_without_bodies_is_a_leaf():
         with pytest.raises(ValueError, match="is not a leaf of the tree"):
             organizations_from(groups, tree)
         assert outcome(groups, tree) == reference_outcome(groups, tree)
-    assert organizations_from([[]], tree) == [] and group_cells2([], tree) == []
+    assert organizations_from([[]], tree) == []
+    assert group_cells2(CellSet.from_tree(tree, 0), tree) == []
