@@ -13,7 +13,7 @@ from .errors import ConfigError, DynamicsError, SingularPairError, ZeroDistanceE
 from .geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child_coords
 from .kernels import KernelParams, direct_field, direct_fields, tree_field, tree_fields
 from .metrics import WeightedGraph, interaction_graph, modularity, organization_partition
-from .ntree import Body, NTree, Node, build_tree
+from .ntree import Bodies, Body, NTree, Node, build_tree
 from .run import detect_organizations, field_run, place_bodies, run_simulation
 from .svg import render_svg
 

@@ -36,22 +36,21 @@ call.  A pair whose d^3 is 0 (coincident, or so close that it underflows)
 raises ZeroDistanceError for the pair the scalar loop meets first: the
 lowest boid id, its same-species neighbours before the others.
 
-The move is numpy over whole arrays too.  Reflection folds with a scalar
-fold's operations per bounce, up to 64 bounces, and a jump of many box
-widths in closed form; wrap is a floored remainder.  A non-finite
-displacement is a DynamicsError naming the boid.
+The move reads and writes the state's columns (ntree.Bodies); no Body is
+made.  Reflection folds with a scalar fold's operations per bounce, up to
+64 bounces, and a jump of many box widths in closed form; wrap is a floored
+remainder.  A non-finite displacement is a DynamicsError naming the boid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import DynamicsError, ZeroDistanceError
 from .geometry import AABB
-from .ntree import Body, NTree, bodies_from_columns, build_tree, columns, radius_hits
+from .ntree import Bodies, NTree, as_bodies, build_tree, radius_hits
 
 COHESION_NORMALIZED = "normalized"
 COHESION_LITERAL = "literal"
@@ -112,7 +111,7 @@ class SimParams:
 class WorldState:
     """One synchronous snapshot: bodies sorted by id plus their tree."""
 
-    bodies: tuple[Body, ...]
+    bodies: Bodies
     tree: NTree
     step: int
     params: SimParams
@@ -121,10 +120,10 @@ class WorldState:
 def make_world(bodies, params: SimParams, seed: int = 0) -> WorldState:
     """Initial state from a body list, sorted by id and validated.  `seed` is
     not read, as no step draws a random number; it stays for its callers."""
-    ordered = tuple(sorted(bodies, key=lambda b: b.id))
-    for b in ordered:
-        if b.species >= len(params.species):
-            raise ValueError(f"body {b.id} references unknown species {b.species}")
+    bodies = as_bodies(bodies)
+    ordered = bodies[np.argsort(bodies.id, kind="stable")]
+    for k in np.flatnonzero(ordered.species >= len(params.species))[:1].tolist():
+        raise ValueError(f"body {ordered.id[k]} references unknown species {ordered.species[k]}")
     tree = build_tree(ordered, params.box, params.capacity, params.max_depth)
     return WorldState(bodies=ordered, tree=tree, step=0, params=params)
 
@@ -138,7 +137,7 @@ def _velocities(state: WorldState) -> tuple[np.ndarray, np.ndarray]:
     # Every body is a target, depth-first as the tree's body rows, so the
     # neighbourhoods of a chunk are alike.
     bx, by, bid = tree.cx[n:], tree.cy[n:], tree.id[n:]
-    bvx, bvy, bsp = (c[tree.order] for c in columns(state.bodies, "velocity.x velocity.y species"))
+    bvx, bvy, bsp = (getattr(state.bodies, k)[tree.order] for k in ("vx", "vy", "species"))
 
     def coef(name: str) -> np.ndarray:  # a species setting per target
         return np.array([getattr(sp, name) for sp in params.species])[bsp.astype(np.intp)]
@@ -238,14 +237,11 @@ def step_world(state: WorldState) -> WorldState:
     reflect folds the position back inside and negates the offending velocity
     component, wrap translates it periodically.
     """
-    params = state.params
+    params, bodies = state.params, state.bodies
     vx, vy = _velocities(state)
-    px, py = columns(state.bodies, "position.x position.y")
-    px, py = px + params.dt * vx, py + params.dt * vy
-    bad = np.flatnonzero(~(np.isfinite(px) & np.isfinite(py)))
-    if len(bad):
-        k = bad[0]
-        raise DynamicsError(f"boid {state.bodies[k].id} moves by a non-finite displacement:"
+    px, py = bodies.x + params.dt * vx, bodies.y + params.dt * vy
+    for k in np.flatnonzero(~(np.isfinite(px) & np.isfinite(py)))[:1].tolist():
+        raise DynamicsError(f"boid {bodies.id[k]} moves by a non-finite displacement:"
                             f" dt {params.dt} times velocity ({vx[k]}, {vy[k]})")
     box = params.box
     if params.boundary == BOUNDARY_REFLECT:
@@ -253,8 +249,6 @@ def step_world(state: WorldState) -> WorldState:
         py, vy = _reflect(py, vy, box.lo.y, box.hi.y)
     else:
         px, py = _wrap(px, box.lo.x, box.hi.x), _wrap(py, box.lo.y, box.hi.y)
-    ids, species, charge = (list(map(attrgetter(k), state.bodies))
-                            for k in ("id", "species", "charge"))
-    moved = tuple(bodies_from_columns(ids, species, px, py, vx, vy, charge))
+    moved = Bodies(bodies.id, bodies.species, px, py, vx, vy, bodies.charge)
     tree = build_tree(moved, box, params.capacity, params.max_depth)
     return WorldState(bodies=moved, tree=tree, step=state.step + 1, params=params)

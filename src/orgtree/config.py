@@ -187,9 +187,8 @@ def config_from_dict(data: Any) -> Config:
     if not isinstance(species_raw, list) or not species_raw:
         raise ConfigError("species must be a non-empty list")
     species = tuple(_species(entry, i, world) for i, entry in enumerate(species_raw))
-    # run.place_bodies makes every Body before the first step: `simulate
-    # --steps 0` with 2**20 bodies peaks at 998 MiB resident and takes 24 s
-    # (one core of a 2-vCPU x86-64 host).
+    # `simulate --steps 0` with 2**20 bodies peaks at 739 MiB resident and
+    # takes 7.8 s (one core of a 2-vCPU x86-64 host).
     total = sum(sp.count for sp in species)
     if total > 2 ** 20:
         raise ConfigError(f"species counts must total at most {2 ** 20}, got {total}")

@@ -38,10 +38,17 @@ from .ntree import NTree, _spans
 class CellSet:
     """Cut result: the kept leaves as rows of their tree, depth-first, as
     `from_tree` builds them.  `cells` maps their coordinates to body ids; it
-    is built when first read."""
+    is built when first read.  Any other rows raise ValueError."""
 
     tree: NTree
     rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        rows, first, n = self.rows, self.tree.first, len(self.tree.first) - 1
+        if not (isinstance(rows, np.ndarray) and rows.ndim == 1 and rows.dtype.kind in "iu"
+                and ((0 <= rows) & (rows < n)).all()
+                and (np.diff(first[rows], prepend=n - 1) > 0).all()):  # leaves, first increasing
+            raise ValueError("CellSet rows must be leaf rows of its tree in from_tree's order")
 
     @classmethod
     def from_tree(cls, tree: NTree, min_depth: int) -> CellSet:

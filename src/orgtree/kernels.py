@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import DynamicsError, SingularPairError
 from .geometry import Vec2, from_slots
-from .ntree import Body, NTree, _pow2, _spans
+from .ntree import Bodies, NTree, _pow2, _spans, as_bodies
 
 MODE_GRAVITY = "gravity"
 MODE_COULOMB = "coulomb"
@@ -71,7 +71,7 @@ class KernelParams:
 
 def direct_field(bodies, target_index: int, params: KernelParams) -> Vec2:
     """Exact field at bodies[target_index] summed over every other body."""
-    bodies = list(bodies)
+    bodies = as_bodies(bodies)
     if not 0 <= target_index < len(bodies):
         raise IndexError(f"target index {target_index} out of range")
     return _direct(bodies, (target_index,), params)[0]
@@ -79,15 +79,12 @@ def direct_field(bodies, target_index: int, params: KernelParams) -> Vec2:
 
 def direct_fields(bodies, params: KernelParams) -> list[Vec2]:
     """Direct field at every body; one quadratic sweep over a plain float table."""
-    bodies = list(bodies)
+    bodies = as_bodies(bodies)
     return _direct(bodies, range(len(bodies)), params)
 
 
-def _direct(bodies: list[Body], targets, params: KernelParams) -> list[Vec2]:
-    px = [b.position.x for b in bodies]
-    py = [b.position.y for b in bodies]
-    qs = [b.charge for b in bodies]
-    ids = [b.id for b in bodies]
+def _direct(bodies: Bodies, targets, params: KernelParams) -> list[Vec2]:
+    px, py, qs, ids = (c.tolist() for c in (bodies.x, bodies.y, bodies.charge, bodies.id))
     const = params.constant
     eps2 = params.softening * params.softening
     n = len(bodies)

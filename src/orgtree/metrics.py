@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .ntree import columns
+from .ntree import as_bodies
 
 TRANSFORM_INVERSE = "inverse"
 TRANSFORM_GAUSSIAN = "gaussian"
@@ -118,14 +118,14 @@ def interaction_graph(bodies, transform: str = TRANSFORM_INVERSE, *,
     Transforms: inverse gives 1 / (d + 1e-9), gaussian gives
     exp(-d^2 / (2 sigma^2)), raw keeps the distance itself.
     """
-    bodies = list(bodies)
+    bodies = as_bodies(bodies)
     if len(bodies) < 2:
         raise ValueError(f"need at least 2 bodies, got {len(bodies)}")
     if transform not in TRANSFORMS:
         raise ValueError(f"unknown transform: {transform!r}")
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    pos = np.column_stack(columns(bodies, "position.x position.y"))
+    pos = np.column_stack([bodies.x, bodies.y])
     return WeightedGraph(len(bodies), positions=pos, transform=transform, sigma=sigma)
 
 

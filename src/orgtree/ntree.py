@@ -24,6 +24,7 @@ pass and walk expands them by.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter
@@ -45,7 +46,7 @@ class Body:
     """Point body carried by the simulation.
 
     `charge` doubles as mass for gravity-style kernels and stays at 1.0 for
-    plain boids runs.
+    plain boids runs.  It is checked when it joins a `Bodies` (as_bodies).
     """
 
     id: int
@@ -54,34 +55,60 @@ class Body:
     velocity: Vec2
     charge: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"negative body id: {self.id}")
-        if self.species < 0:
-            raise ValueError(f"negative species index: {self.species}")
-        if not (self.position.is_finite() and self.velocity.is_finite()
-                and math.isfinite(self.charge)):
-            raise ValueError(f"body {self.id} has a non-finite component")
 
-
-def bodies_from_columns(ids, species, x, y, vx, vy, charge) -> list[Body]:
-    """Body(ids[k], species[k], Vec2(x[k], y[k]), Vec2(vx[k], vy[k]), charge[k])
-    for every k, from equal-length sequences or arrays.
-
-    Body.__post_init__'s checks run over the columns, and the first body they
-    flag is built as a Body, which raises its own ValueError.  The objects
-    are then filled slot by slot (from_slots), with no __init__ per object.
+class Bodies(Sequence):
+    """The bodies of a snapshot as read-only columns, an immutable Sequence[Body]
+    equal to another by its columns: int64 id and species, float x, y, vx, vy
+    and charge.  Body objects are made (from_slots) only when it is iterated
+    or indexed by a position; a slice or an index array gives a Bodies.  The
+    first body with a negative id or species or a non-finite value, checked
+    in that order, raises ValueError; an id from 2**63 on, OverflowError.
     """
-    cols = [np.asarray(c) for c in (ids, species, x, y, vx, vy, charge)]
-    ids, species, x, y, vx, vy, charge = (c.tolist() if isinstance(c, np.ndarray) else c
-                                          for c in (ids, species, x, y, vx, vy, charge))
-    finite = np.logical_and.reduce([np.isfinite(c) for c in cols[2:]])
-    bad = (cols[0] < 0) | (cols[1] < 0) | ~finite
-    for k in np.flatnonzero(bad)[:1].tolist():
-        Body(ids[k], species[k], Vec2(x[k], y[k]), Vec2(vx[k], vy[k]), charge[k])
-        raise AssertionError(f"the column checks flag body {ids[k]}, which Body accepts")
-    return from_slots(Body, ids, species, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy),
-                      charge)
+
+    __slots__ = ("id", "species", "x", "y", "vx", "vy", "charge")
+
+    def __init__(self, id, species, x, y, vx, vy, charge) -> None:
+        cols = [np.asarray(c) for c in (id, species, x, y, vx, vy, charge)]
+        bad = (cols[0] < 0) | (cols[1] < 0) | ~np.isfinite(cols[2:]).all(axis=0)
+        for k in np.flatnonzero(bad)[:1].tolist():
+            i, s = list(id)[k], list(species)[k]
+            raise ValueError(f"negative body id: {i}" if i < 0 else f"negative species index: {s}"
+                             if s < 0 else f"body {i} has a non-finite component")
+        self._fill(np.array(c if c.dtype == np.int64 else c.tolist(), dtype=np.int64) if j < 2
+                   else np.array(c, dtype=float) for j, c in enumerate(cols))  # uint64 casts wrap
+
+    def _fill(self, cols) -> Bodies:
+        for name, c in zip(self.__slots__, cols):
+            c.flags.writeable = False
+            object.__setattr__(self, name, c)
+        return self
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"Bodies is immutable: cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, k):
+        if isinstance(k, (slice, np.ndarray)):  # rows of checked columns: no checks again
+            return object.__new__(Bodies)._fill(getattr(self, name)[k] for name in self.__slots__)
+        return list(self[k:k + 1 or None])[0]
+
+    def __eq__(self, other):  # column by column, as their Body objects would compare
+        return isinstance(other, Bodies) and all(
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__)
+
+    def __iter__(self):
+        i, s, x, y, vx, vy, q = (getattr(self, name).tolist() for name in self.__slots__)
+        return iter(from_slots(Body, i, s, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy), q))
+
+
+def as_bodies(bodies) -> Bodies:
+    """bodies as a Bodies, read once from Body objects; every function taking bodies calls it."""
+    if isinstance(bodies, Bodies):
+        return bodies
+    row = attrgetter(*"id species position.x position.y velocity.x velocity.y charge".split())
+    return Bodies(*(list(zip(*map(row, bodies))) or [()] * 7))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,7 +149,7 @@ class NTree:
     lands on.
     """
 
-    bodies: tuple[Body, ...]
+    bodies: Bodies
     root_box: AABB
     capacity: int
     max_depth: int
@@ -153,7 +180,7 @@ class NTree:
         first, count, q, cx, cy = (a.tolist() for a in (
             self.first, self.count, self.charge[:n], self.cx[:n], self.cy[:n]))
         row = {c: k for k, c in enumerate(zip(*self.coords.tolist()))}
-        bodies = [self.bodies[i] for i in self.order.tolist()]
+        bodies = list(self.bodies[self.order])
         leaves: list[Node] = []
 
         def view(coord: CellCoord, box: AABB) -> Node:
@@ -220,7 +247,7 @@ class NTree:
             raise ValueError(f"negative query radius: {radius}")
         hits = [body for *_, body, _ in radius_hits(
             self, np.array([center.x]), np.array([center.y]), np.array([radius], dtype=float))]
-        return [self.bodies[i] for i in self.order[np.concatenate(hits)].tolist()]
+        return list(self.bodies[self.order[np.concatenate(hits)]])
 
 
 @np.errstate(all="ignore")  # like Python floats: overflow and NaN in a huge box pass silently
@@ -245,19 +272,17 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
         raise ValueError(f"negative max_depth: {max_depth}")
     if max_depth > 53:  # past it ix * w in cell_box is inexact, and int64 ix overflows past 62
         raise ValueError(f"max_depth must be at most 53, got {max_depth}")
-    bodies = tuple(bodies)
-    x, y, charge = columns(bodies, "position.x position.y charge")
-    ids, = columns(bodies, "id", np.int64)  # OverflowError for an id from 2**63 on
+    bodies = as_bodies(bodies)
+    x, y, charge, ids = bodies.x, bodies.y, bodies.charge, bodies.id
     dup = np.ones(len(ids), dtype=bool)
     dup[np.unique(ids, return_index=True)[1]] = False
     lo, hi = root_box.lo, root_box.hi
     outside = ~((lo.x <= x) & (x <= hi.x) & (lo.y <= y) & (y <= hi.y))
     for k in np.flatnonzero(dup | outside)[:1].tolist():  # the first bad body, as a loop meets it
-        b = bodies[k]
         if dup[k]:
-            raise ValueError(f"duplicate body id: {b.id}")
+            raise ValueError(f"duplicate body id: {ids[k]}")
         raise ValueError(
-            f"body {b.id} at ({b.position.x}, {b.position.y}) lies outside the root box")
+            f"body {ids[k]} at ({x[k].item()}, {y[k].item()}) lies outside the root box")
 
     perm = np.arange(len(bodies))  # becomes the depth-first order
     ix = iy = start = np.zeros(1 if bodies else 0, dtype=np.int64)
@@ -333,11 +358,6 @@ def _spans(owner: np.ndarray, start: np.ndarray, size: np.ndarray):
     owner (None) gives None for the owners."""
     at = np.arange(size.sum()) + np.repeat(start - np.cumsum(size) + size, size)
     return None if owner is None else np.repeat(owner, size), at
-
-
-def columns(bodies, keys: str, dtype=float) -> list[np.ndarray]:
-    """One numpy column per space-separated attribute path, e.g. "position.x id"."""
-    return [np.fromiter(map(attrgetter(k), bodies), dtype, len(bodies)) for k in keys.split()]
 
 
 def _pow2(x: float) -> int:

@@ -6,7 +6,6 @@ import math
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +16,7 @@ from .errors import ConfigError, DynamicsError
 from .geometry import Vec2
 from .kernels import MODE_GRAVITY, direct_fields, tree_fields
 from .metrics import interaction_graph, modularity, organization_partition
-from .ntree import Body, NTree, bodies_from_columns, build_tree
+from .ntree import Bodies, NTree, build_tree
 from .svg import render_svg
 from .trace import (Frame, bodies_from_frame_dict, dumps_canonical,
                     frame_to_dict, header_dict, organization_from_dict,
@@ -30,7 +29,7 @@ FIELD_NAME = "field.jsonl"
 FIELD_MAX_BODIES = 2 ** 15
 
 
-def place_bodies(config: Config) -> list[Body]:
+def place_bodies(config: Config) -> Bodies:
     """Per-species uniform disk placement, driven by each species' own seed.
 
     Bodies get sequential ids across species in declaration order and start
@@ -47,8 +46,7 @@ def place_bodies(config: Config) -> list[Body]:
             y.append(cy + r * math.sin(angle))
         species += [index] * sp.count
         charge += [sp.charge] * sp.count
-    rest = [0.0] * len(x)
-    return bodies_from_columns(range(len(x)), species, x, y, rest, rest, charge)
+    return Bodies(range(len(x)), species, x, y, [0.0] * len(x), [0.0] * len(x), charge)
 
 
 def detect_organizations(tree: NTree, depth: int, min_org_size: int = 1,
@@ -123,9 +121,10 @@ def _recorded_tree(trace_path: str | Path, step: int):
     except ConfigError as exc:
         raise ConfigError(f"{trace_path}: header: {exc}") from exc
     frame = trace.frame_at(step)
-    charge = {i: sp.charge for i, sp in enumerate(config.species)}  # frames carry no charge
+    q = {i: sp.charge for i, sp in enumerate(config.species)}  # frames carry no charge
     with _frame_errors(trace_path, step):
-        bodies = [replace(b, charge=charge[b.species]) for b in bodies_from_frame_dict(frame)]
+        b = bodies_from_frame_dict(frame)  # a species the header lacks: KeyError below
+        bodies = Bodies(b.id, b.species, b.x, b.y, b.vx, b.vy, [q[s] for s in b.species.tolist()])
         tree = build_tree(bodies, config.world_box(), config.world.capacity,
                           config.world.max_depth)
     return config, frame, tree
@@ -223,13 +222,13 @@ def field_run(config: Config, out_dir: str | Path) -> dict[str, Any]:
     errors = []
     path = out_dir / FIELD_NAME
     with open(path, "w", encoding="utf-8") as fh:
-        for b, d, a in zip(bodies, direct, accel):
+        for i, d, a in zip(bodies.id.tolist(), direct, accel):
             diff = math.hypot(a.x - d.x, a.y - d.y)
             rel = diff / scale
             errors.append(rel)
             fh.write(dumps_canonical({
-                "id": b.id, "direct": [d.x, d.y], "tree": [a.x, a.y],
-                "rel_error": rel}, f"the field line of body {b.id}") + "\n")
+                "id": i, "direct": [d.x, d.y], "tree": [a.x, a.y],
+                "rel_error": rel}, f"the field line of body {i}") + "\n")
         summary = {
             "summary": {
                 "n": len(bodies),

@@ -61,10 +61,9 @@ def render_svg(tree: NTree, organizations: Iterable[Organization]) -> str:
                 f'<rect class="org" x="{fx(b.lo.x):.2f}" y="{fy(b.hi.y):.2f}" '
                 f'width="{(b.width * scale):.2f}" height="{(b.height * scale):.2f}" '
                 f'fill="#ff0000" fill-opacity="0.6"/>')
-    for body in tree.bodies:
-        color = SPECIES_PALETTE[body.species % len(SPECIES_PALETTE)]
-        parts.append(
-            f'<circle class="body" cx="{fx(body.position.x):.2f}" '
-            f'cy="{fy(body.position.y):.2f}" r="2.5" fill="{color}"/>')
+    b = tree.bodies
+    for x, y, s in zip(b.x.tolist(), b.y.tolist(), b.species.tolist()):
+        parts.append(f'<circle class="body" cx="{fx(x):.2f}" cy="{fy(y):.2f}" r="2.5" '
+                     f'fill="{SPECIES_PALETTE[s % len(SPECIES_PALETTE)]}"/>')
     parts.append("</svg>")
     return "\n".join(parts)

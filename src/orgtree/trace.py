@@ -16,29 +16,42 @@ from typing import Any
 from .detect import Organization
 from .errors import ConfigError, DynamicsError
 from .geometry import AABB, CellCoord, Vec2
-from .ntree import Body, bodies_from_columns
+from .ntree import Bodies, as_bodies
 
 TRACE_VERSION = 1
 _TAIL_BYTES = 64
 # A frame line ending in its step: a last key "step" with an integer of at most
 # 18 digits, in compact or spaced separators.
 _STEP_TAIL = re.compile(rb'[{,][ \t]*"step"[ \t]*:[ \t]*(0|[1-9]\d{0,17})[ \t]*}[ \t]*\Z')
+_BODY = '{"id":%d,"species":%d,"vx":%r,"vy":%r,"x":%r,"y":%r}'  # keys sorted, floats as json
 
 
 @dataclass(frozen=True)
 class Frame:
     step: int
-    bodies: tuple[Body, ...]
+    bodies: Bodies
     organizations: tuple[Organization, ...]
     modularity: float | None = None
 
 
 def dumps_canonical(obj: Any, what: str = "output") -> str:
-    """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`."""
+    """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`.
+
+    A Bodies under a dict's first key "bodies", as frame_to_dict puts it, is
+    written from its columns by _BODY, whose %r is json's float.__repr__: the
+    same bytes, as the columns are finite.  json writes every other key.
+    """
+    b = obj.get("bodies") if isinstance(obj, dict) else None
+    frame = isinstance(b, Bodies) and min(obj) == "bodies"
     try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        text = json.dumps({**obj, "bodies": []} if frame else obj, sort_keys=True,
+                          separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise DynamicsError(f"{what} holds a non-finite number: {exc}") from exc
+    if not frame:
+        return text
+    rows = zip(*(c.tolist() for c in (b.id, b.species, b.vx, b.vy, b.x, b.y)))
+    return '{"bodies":[' + ",".join(map(_BODY.__mod__, rows)) + text[len('{"bodies":['):]
 
 
 def header_dict(config_dict: dict[str, Any]) -> dict[str, Any]:
@@ -69,11 +82,7 @@ def organization_from_dict(data: dict[str, Any]) -> Organization:
 def frame_to_dict(frame: Frame) -> dict[str, Any]:
     out: dict[str, Any] = {
         "step": frame.step,
-        "bodies": [
-            {"id": b.id, "species": b.species, "x": b.position.x,
-             "y": b.position.y, "vx": b.velocity.x, "vy": b.velocity.y}
-            for b in frame.bodies
-        ],
+        "bodies": as_bodies(frame.bodies),  # written from its columns by dumps_canonical
         "organizations": [organization_to_dict(o) for o in frame.organizations],
     }
     if frame.modularity is not None:
@@ -81,16 +90,15 @@ def frame_to_dict(frame: Frame) -> dict[str, Any]:
     return out
 
 
-def bodies_from_frame_dict(data: dict[str, Any]) -> list[Body]:
-    """Rebuild body objects from a frame line; charge is not recorded: 1.0.
+def bodies_from_frame_dict(data: dict[str, Any]) -> Bodies:
+    """The bodies of a frame line as columns; charge is not recorded: 1.0.
 
     Each body's values are converted in the order id, species, x, y, vx,
-    vy, body by body, and bodies_from_columns then checks them as Body does.
+    vy, body by body, and Bodies then checks them.
     """
     rows = [(int(b["id"]), int(b["species"]), float(b["x"]), float(b["y"]),
              float(b["vx"]), float(b["vy"])) for b in data["bodies"]]
-    ids, species, x, y, vx, vy = zip(*rows) if rows else [()] * 6
-    return bodies_from_columns(ids, species, x, y, vx, vy, [1.0] * len(rows))
+    return Bodies(*(zip(*rows) if rows else [()] * 6), [1.0] * len(rows))
 
 
 def _decode(path: Path, lineno: int, line: bytes) -> Any:

@@ -775,7 +775,7 @@ def step_world_loop(state: WorldState) -> WorldState:
             y = wrap_mod(y, box.lo.y, box.hi.y)
         moved.append(Body(b.id, b.species, Vec2(x, y), Vec2(vx, vy), b.charge))
     tree = build_tree(moved, box, params.capacity, params.max_depth)
-    return WorldState(bodies=tuple(moved), tree=tree, step=state.step + 1, params=params)
+    return WorldState(bodies=tree.bodies, tree=tree, step=state.step + 1, params=params)
 
 
 def read_trace_reference(path) -> tuple[dict[str, Any], list[Any]]:

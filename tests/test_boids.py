@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orgtree import boids, ntree
+from orgtree import boids, geometry, kernels, ntree, trace
 from orgtree.boids import (BOUNDARY_POLICIES, BOUNDARY_WRAP, COHESION_LITERAL,
                            COHESION_MODES, SimParams, SpeciesParams, WorldState,
                            make_world, step_world)
@@ -17,7 +17,7 @@ from orgtree.config import config_from_dict, load_config
 from orgtree.errors import DynamicsError, ZeroDistanceError
 from orgtree.geometry import AABB, Vec2
 from orgtree.ntree import Body
-from orgtree.run import place_bodies
+from orgtree.run import detect_organizations, place_bodies
 from conftest import BOX_100, CONFIG_DIR, clustered_bodies
 from oracles import (alignment, by_id, cohesion, neighborhood, reflect_fold, separation,
                      step_velocity, step_velocity_loop, step_world_loop, wrap_mod)
@@ -518,3 +518,32 @@ class TestFarJumps:
         last = json.loads((tmp_path / "out" / "trace.jsonl").read_text().splitlines()[-1])
         assert last["step"] == 1
         assert all(0.0 <= b[k] <= 100.0 for b in last["bodies"] for k in "xy")
+
+
+def test_a_flock_step_and_its_frame_line_make_no_body_and_no_body_vec2(monkeypatch):
+    """The state stays columns: stepping the flock benchmark's scene and
+    writing its frame line construct no Body and no Vec2 beyond the three
+    (centroid and box corners) of each organisation."""
+    config = config_from_dict(FLOCK_SCENE)
+    state = step_world(config_world(config))
+    made = {"Body": 0, "Vec2": 0, "from_slots": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            made[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Body, "__init__", counted("Body", Body.__init__))
+    monkeypatch.setattr(Vec2, "__init__", counted("Vec2", Vec2.__init__))
+    for module in (geometry, ntree, kernels, trace):
+        if hasattr(module, "from_slots"):
+            monkeypatch.setattr(module, "from_slots", counted("from_slots", module.from_slots))
+    state = step_world(state)
+    orgs = detect_organizations(state.tree, config.detection.depth)
+    line = trace.dumps_canonical(trace.frame_to_dict(trace.Frame(
+        step=state.step, bodies=state.bodies, organizations=tuple(orgs))))
+    assert made == {"Body": 0, "Vec2": 3 * len(orgs), "from_slots": 0}
+    assert orgs and line.count('"species"') == 1200
+    list(state.bodies[:2])  # the counters see Bodies made on demand: the Bodies, then two Vec2s
+    assert made["from_slots"] == 3

@@ -103,6 +103,24 @@ class TestCellSet:
             assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:]))
         assert 53 in depths and len(depths) > 10
 
+    def test_rows_out_of_from_trees_order_are_refused(self):
+        # Reversed, the rows of this cut grouped silently into 164 groups
+        # where the brute-force oracle finds 1.
+        tree, _ = uniform_tree(300, seed=5, capacity=3)
+        cut = CellSet.from_tree(tree, 3)
+        n = len(tree.first) - 1
+        inner = np.flatnonzero(tree.first[:n] < n)
+        assert len(group_cells2(cut, tree)) == len(brute_force_groups(cut.coords())) == 1
+        for rows in (cut.rows[::-1].copy(), cut.rows[[1, 0, *range(2, len(cut))]],
+                     np.append(cut.rows, cut.rows[-1]), np.append(inner[:1], cut.rows),
+                     np.append(cut.rows, n), np.append(cut.rows, -1),
+                     cut.rows.astype(float), cut.rows[None, :]):
+            with pytest.raises(ValueError, match="^CellSet rows must be leaf rows of its tree "
+                                                 "in from_tree's order$"):
+                CellSet(tree, rows)
+        assert len(CellSet(tree, cut.rows[::2].copy())) == (len(cut) + 1) // 2
+        assert len(CellSet(tree, cut.rows[:0])) == 0
+
     def test_membership_protocol(self):
         tree, _ = uniform_tree(50, seed=3, capacity=2)
         cut = CellSet.from_tree(tree, 0)

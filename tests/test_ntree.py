@@ -10,7 +10,7 @@ import numpy as np
 
 from orgtree import ntree
 from orgtree.geometry import AABB, CellCoord, Vec2, cell_box
-from orgtree.ntree import Body, NTree, bodies_from_columns, build_tree, radius_hits
+from orgtree.ntree import Bodies, Body, NTree, as_bodies, build_tree, radius_hits
 from conftest import BOX_100, UNIT_BOX, uniform_bodies, uniform_tree
 from oracles import (aggregates, build_reference, collect_bodies, dump_leaves,
                      flatten_reference, linear_radius, query_radius_walk,
@@ -469,7 +469,7 @@ def test_spans_expand_span_by_span_as_a_loop_does(spans):
     assert list(zip(got_owner.tolist(), got.tolist())) == want
 
 
-class TestBodiesFromColumns:
+class TestBodies:
     @staticmethod
     def columns(n, seed):
         rng = random.Random(seed)
@@ -483,32 +483,49 @@ class TestBodiesFromColumns:
 
     def test_bodies_equal_hash_and_freeze_like_the_constructor(self):
         cols = self.columns(50, seed=1)
+        want = self.one_by_one(cols)
         for given in (cols, [np.array(c) for c in cols]):
-            made = bodies_from_columns(*given)
-            want = self.one_by_one(cols)
+            view = Bodies(*given)
+            made = list(view)
             assert made == want
             assert [hash(b) for b in made] == [hash(b) for b in want]
             assert all(type(b) is Body and type(b.position) is Vec2 and type(b.velocity) is Vec2
                        and type(b.id) is int and type(b.position.x) is float for b in made)
+            assert [view[k] for k in (0, 7, 49, -1, -50)] == [want[k] for k in (0, 7, 49, -1, -50)]
+            assert list(view[3:9]) == want[3:9] and list(view[np.array([4, 2])]) == want[4:1:-2]
+            assert list(as_bodies(want)) == want and as_bodies(view) is view and len(view) == 50
+        with pytest.raises(IndexError):
+            view[50]
         with pytest.raises(dataclasses.FrozenInstanceError):
             made[0].id = 7
         with pytest.raises(dataclasses.FrozenInstanceError):
             made[0].position.x = 1.0
-        assert bodies_from_columns([], [], [], [], [], [], []) == []
+        with pytest.raises(AttributeError):
+            view.x = view.y
+        with pytest.raises(ValueError):
+            view.x[0] = 1.0
+        assert list(Bodies([], [], [], [], [], [], [])) == [] == list(as_bodies([]))
 
     @pytest.mark.parametrize("column, value", [
         (0, -1), (1, -2), (2, math.nan), (3, math.inf), (4, -math.inf), (5, math.nan),
         (6, math.inf)])
-    def test_a_bad_column_raises_the_constructors_error_for_the_first_bad_body(self, column,
-                                                                                value):
+    def test_a_bad_column_raises_the_same_error_for_the_first_bad_body(self, column, value):
         cols = self.columns(20, seed=2)
         cols[column][7] = value
         # A later body that fails every check does not come first.
         cols[0][12], cols[1][12], cols[2][12] = -5, -5, math.nan
         with pytest.raises(ValueError) as want:
-            self.one_by_one(cols)
+            as_bodies(self.one_by_one(cols))
         with pytest.raises(ValueError) as got:
-            bodies_from_columns(*cols)
+            Bodies(*cols)
         assert str(got.value) == str(want.value)
         assert str(got.value) == {0: "negative body id: -1", 1: "negative species index: -2"}.get(
             column, "body 10 has a non-finite component")
+
+    def test_an_id_from_2_to_the_63_overflows_and_a_huge_negative_one_is_negative(self):
+        cols = self.columns(3, seed=3)
+        for ids in ([0, 1, 2 ** 63], np.array([0, 1, 2 ** 63], dtype=np.uint64), [0, 2 ** 70, 1]):
+            with pytest.raises(OverflowError):
+                Bodies(ids, *cols[1:])
+        with pytest.raises(ValueError, match=r"^negative body id: -1180591620717411303424$"):
+            Bodies([0, -2 ** 70, 2 ** 70], *cols[1:])

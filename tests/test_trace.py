@@ -2,14 +2,20 @@
 eager reader of tests/oracles.py on every frame and every error text."""
 
 import json
+import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import frame_at_reference, read_trace_reference
 from orgtree import trace
-from orgtree.errors import ConfigError
-from orgtree.trace import read_trace
+from orgtree.detect import Organization
+from orgtree.errors import ConfigError, DynamicsError
+from orgtree.geometry import AABB, CellCoord, Vec2
+from orgtree.ntree import Bodies, Body
+from orgtree.trace import Frame, dumps_canonical, frame_to_dict, organization_to_dict, read_trace
 
 HEADER = {"config": {"seed": 1}, "version": 1}
 COMPACT = {"sort_keys": True, "separators": (",", ":")}  # dumps_canonical's layout
@@ -205,3 +211,60 @@ def test_a_trace_that_cannot_be_read_again_is_a_config_error(tmp_path):
     path.unlink()
     with pytest.raises(ConfigError, match=r"^cannot read trace .*trace\.jsonl: "):
         data.frame_at(0)
+
+
+# Floats json writes in every form repr has: signed zero, the smallest
+# subnormal, exponents on both sides, and 2**53 + 1, which rounds to 2**53.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e16, -1e16, float(2 ** 53 + 1), 0.1,
+               1.7976931348623157e308, 123456789.125]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+IDS = st.one_of(st.sampled_from([0, 2 ** 63 - 1]), st.integers(0, 2 ** 63 - 1))
+BODY_ROWS = st.lists(st.tuples(IDS, IDS, FLOATS, FLOATS, FLOATS, FLOATS), max_size=20)
+ORG = Organization(0, frozenset({CellCoord(2, 1, 1)}), (0, 3), Vec2(0.5, -0.0),
+                   AABB(Vec2(0.25, -1.0), Vec2(1e16, 5e-324)))
+
+
+def body_dicts_frame(frame):
+    """The frame's dict with one dict per body, as json is given it to write."""
+    return {"step": frame.step,
+            "bodies": [{"id": b.id, "species": b.species, "x": b.position.x, "y": b.position.y,
+                        "vx": b.velocity.x, "vy": b.velocity.y} for b in frame.bodies],
+            "organizations": [organization_to_dict(o) for o in frame.organizations],
+            **({} if frame.modularity is None else {"modularity": frame.modularity})}
+
+
+@settings(max_examples=300, deadline=None)
+@given(BODY_ROWS, st.one_of(st.none(), FLOATS), st.booleans(), st.integers(0, 10 ** 18))
+def test_a_frame_line_is_jsons_bytes_for_its_body_dicts(rows, q, orgs, step):
+    ids, species, x, y, vx, vy = zip(*rows) if rows else [()] * 6
+    bodies = Bodies(ids, species, x, y, vx, vy, [1.0] * len(rows))
+    frame = Frame(step=step, bodies=bodies, organizations=(ORG,) if orgs else (), modularity=q)
+    want = json.dumps(body_dicts_frame(frame), **COMPACT)
+    assert dumps_canonical(frame_to_dict(frame), "the frame") == want
+    listed = Frame(step=step, bodies=list(bodies), organizations=frame.organizations,
+                   modularity=q)  # Body objects are written through their columns
+    assert dumps_canonical(frame_to_dict(listed), "the frame") == want
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_modularity_raises_the_dynamics_error_naming_the_frame(q):
+    frame = Frame(step=3, bodies=Bodies([4], [0], [1.0], [2.0], [0.0], [0.0], [1.0]),
+                  organizations=(ORG,), modularity=q)
+    with pytest.raises(ValueError) as want:
+        json.dumps(body_dicts_frame(frame), allow_nan=False, **COMPACT)
+    with pytest.raises(DynamicsError) as got:
+        dumps_canonical(frame_to_dict(frame), "the frame of step 3")
+    assert str(got.value) == f"the frame of step 3 holds a non-finite number: {want.value}"
+
+
+@pytest.mark.parametrize("column", range(2, 6))
+def test_a_non_finite_body_column_is_the_bodies_value_error(column):
+    cols = [[7, 8], [0, 1], [1.0, 2.0], [3.0, 4.0], [0.0, 0.5], [-0.5, 1.0], [1.0, 1.0]]
+    cols[column][1] = math.inf
+    with pytest.raises(ValueError, match="^body 8 has a non-finite component$"):
+        Bodies(*cols)
+    b = Body(8, 1, Vec2(*[c[1] for c in cols[2:4]]), Vec2(*[c[1] for c in cols[4:6]]))
+    frame = Frame(step=0, bodies=[b], organizations=())
+    with pytest.raises(ValueError, match="^body 8 has a non-finite component$"):
+        dumps_canonical(frame_to_dict(frame))
