@@ -6,6 +6,7 @@ floating-point rounding of box edges.
 
 from __future__ import annotations
 
+import math
 from collections import deque, namedtuple
 from dataclasses import dataclass
 from itertools import repeat
@@ -17,6 +18,9 @@ class Vec2:
 
     x: float
     y: float
+
+    def is_finite(self) -> bool:
+        return math.isfinite(self.x) and math.isfinite(self.y)
 
 
 @dataclass(frozen=True, slots=True)

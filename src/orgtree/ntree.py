@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import attrgetter
 
@@ -59,13 +60,13 @@ class Body:
 class Bodies(Sequence):
     """The bodies of a snapshot as read-only columns, an immutable Sequence[Body]
     equal to another by its columns: int64 id and species, float x, y, vx, vy
-    and charge.  Body objects are made (from_slots) only when it is iterated
-    or indexed by a position; a slice or an index array gives a Bodies.  The
-    first body with a negative id or species or a non-finite value, checked
+    and charge.  Body objects are made when it is first iterated or indexed by
+    a position, and kept (objects); a slice or an index array gives a Bodies.
+    The first body with a negative id or species or a non-finite value, checked
     in that order, raises ValueError; an id from 2**63 on, OverflowError.
     """
 
-    __slots__ = ("id", "species", "x", "y", "vx", "vy", "charge")
+    COLUMNS = ("id", "species", "x", "y", "vx", "vy", "charge")
 
     def __init__(self, id, species, x, y, vx, vy, charge) -> None:
         cols = [np.asarray(c) for c in (id, species, x, y, vx, vy, charge)]
@@ -78,7 +79,7 @@ class Bodies(Sequence):
                    else np.array(c, dtype=float) for j, c in enumerate(cols))  # uint64 casts wrap
 
     def _fill(self, cols) -> Bodies:
-        for name, c in zip(self.__slots__, cols):
+        for name, c in zip(self.COLUMNS, cols):
             c.flags.writeable = False
             object.__setattr__(self, name, c)
         return self
@@ -91,16 +92,21 @@ class Bodies(Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, (slice, np.ndarray)):  # rows of checked columns: no checks again
-            return object.__new__(Bodies)._fill(getattr(self, name)[k] for name in self.__slots__)
-        return list(self[k:k + 1 or None])[0]
+            return object.__new__(Bodies)._fill(getattr(self, name)[k] for name in self.COLUMNS)
+        return self.objects[k]
 
     def __eq__(self, other):  # column by column, as their Body objects would compare
         return isinstance(other, Bodies) and all(
-            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.__slots__)
+            np.array_equal(getattr(self, k), getattr(other, k)) for k in self.COLUMNS)
 
     def __iter__(self):
-        i, s, x, y, vx, vy, q = (getattr(self, name).tolist() for name in self.__slots__)
-        return iter(from_slots(Body, i, s, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy), q))
+        return iter(self.objects)
+
+    @cached_property  # kept in the instance __dict__, past __setattr__
+    def objects(self) -> tuple[Body, ...]:
+        """The bodies as Body objects, made (from_slots) on first use."""
+        i, s, x, y, vx, vy, q = (getattr(self, name).tolist() for name in self.COLUMNS)
+        return tuple(from_slots(Body, i, s, from_slots(Vec2, x, y), from_slots(Vec2, vx, vy), q))
 
 
 def as_bodies(bodies) -> Bodies:
@@ -180,7 +186,7 @@ class NTree:
         first, count, q, cx, cy = (a.tolist() for a in (
             self.first, self.count, self.charge[:n], self.cx[:n], self.cy[:n]))
         row = {c: k for k, c in enumerate(zip(*self.coords.tolist()))}
-        bodies = list(self.bodies[self.order])
+        bodies = list(map(self.bodies.objects.__getitem__, self.order.tolist()))
         leaves: list[Node] = []
 
         def view(coord: CellCoord, box: AABB) -> Node:
@@ -231,9 +237,8 @@ class NTree:
 
     def query_radius(self, center: Vec2, radius: float) -> list[int]:
         """Ids of the bodies query_radius_bodies returns, in the same order."""
-        return [b.id for b in self.query_radius_bodies(center, radius)]
+        return self.bodies.id[self._hits(center, radius)].tolist()
 
-    @np.errstate(all="ignore")  # like Python floats: a huge radius overflows to inf silently
     def query_radius_bodies(self, center: Vec2, radius: float) -> list[Body]:
         """Bodies with distance <= radius from center, boundary inclusive.
 
@@ -243,11 +248,15 @@ class NTree:
         Bodies are filtered by exact squared distance: no square root is
         taken and a body exactly on the radius is always included.
         """
+        return list(map(self.bodies.objects.__getitem__, self._hits(center, radius).tolist()))
+
+    @np.errstate(all="ignore")  # like Python floats: a huge radius overflows to inf silently
+    def _hits(self, center: Vec2, radius: float) -> np.ndarray:
         if radius < 0:
             raise ValueError(f"negative query radius: {radius}")
         hits = [body for *_, body, _ in radius_hits(
             self, np.array([center.x]), np.array([center.y]), np.array([radius], dtype=float))]
-        return list(self.bodies[self.order[np.concatenate(hits)]])
+        return self.order[np.concatenate(hits)]
 
 
 @np.errstate(all="ignore")  # like Python floats: overflow and NaN in a huge box pass silently

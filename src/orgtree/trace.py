@@ -37,21 +37,22 @@ class Frame:
 def dumps_canonical(obj: Any, what: str = "output") -> str:
     """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`.
 
-    A Bodies under a dict's first key "bodies", as frame_to_dict puts it, is
-    written from its columns by _BODY, whose %r is json's float.__repr__: the
-    same bytes, as the columns are finite.  json writes every other key.
+    A Bodies under a dict's key "bodies", as frame_to_dict puts it, is written
+    from its columns by _BODY, whose %r is json's float.__repr__: the same
+    bytes, as the columns are finite.  The keys sorting before and after
+    "bodies" are written on their own; a Bodies anywhere else is json's TypeError.
     """
     b = obj.get("bodies") if isinstance(obj, dict) else None
-    frame = isinstance(b, Bodies) and min(obj) == "bodies"
+    if isinstance(b, Bodies):
+        rows = zip(*(c.tolist() for c in (b.id, b.species, b.vx, b.vy, b.x, b.y)))
+        parts = (dumps_canonical({k: obj[k] for k in obj if k < "bodies"}, what)[1:-1],
+                 '"bodies":[' + ",".join(map(_BODY.__mod__, rows)) + "]",
+                 dumps_canonical({k: obj[k] for k in obj if k > "bodies"}, what)[1:-1])
+        return "{" + ",".join(filter(None, parts)) + "}"
     try:
-        text = json.dumps({**obj, "bodies": []} if frame else obj, sort_keys=True,
-                          separators=(",", ":"), allow_nan=False)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError as exc:
         raise DynamicsError(f"{what} holds a non-finite number: {exc}") from exc
-    if not frame:
-        return text
-    rows = zip(*(c.tolist() for c in (b.id, b.species, b.vx, b.vy, b.x, b.y)))
-    return '{"bodies":[' + ",".join(map(_BODY.__mod__, rows)) + text[len('{"bodies":['):]
 
 
 def header_dict(config_dict: dict[str, Any]) -> dict[str, Any]:

@@ -15,6 +15,13 @@ def coords(max_depth=8):
     ).map(lambda t: CellCoord(*t))
 
 
+class TestVec2:
+    def test_finiteness(self):
+        assert Vec2(0.0, 1.0).is_finite()
+        assert not Vec2(float("nan"), 0.0).is_finite()
+        assert not Vec2(0.0, float("inf")).is_finite()
+
+
 class TestAABB:
     def test_contains_is_closed(self):
         box = AABB(Vec2(0.0, 0.0), Vec2(1.0, 2.0))

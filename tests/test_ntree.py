@@ -366,6 +366,20 @@ class TestQueryRadius:
         via_bodies = {x.id for x in tree.query_radius_bodies(center, 0.3)}
         assert ids == via_bodies
 
+    def test_queries_index_one_set_of_body_objects_per_tree(self):
+        # The Body objects are made once, on the first query, and every later
+        # query, the root view and iteration return the same objects.
+        tree, bodies = uniform_tree(120, seed=14, capacity=3)
+        hits = [tree.query_radius_bodies(Vec2(x / 4, 0.5), 0.2) for x in range(5)]
+        made = tree.bodies.objects
+        assert made == tuple(bodies) and tuple(tree.bodies) == made
+        position = {id(o): k for k, o in enumerate(made)}
+        for x, got in enumerate(hits):
+            assert [b.id for b in got] == tree.query_radius(Vec2(x / 4, 0.5), 0.2)
+            assert all(tree.bodies[position[id(b)]] is b for b in got)
+        assert tree.bodies.objects is made
+        assert all(id(b) in position for leaf in tree.leaves() for b in leaf.bodies)
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.sampled_from([1, 3, 10]),
@@ -514,6 +528,8 @@ class TestBodies:
         cols[column][7] = value
         # A later body that fails every check does not come first.
         cols[0][12], cols[1][12], cols[2][12] = -5, -5, math.nan
+        # Body objects pass as_bodies to the same constructor as the columns,
+        # so got and want share one check: the pinned message is what tests it.
         with pytest.raises(ValueError) as want:
             as_bodies(self.one_by_one(cols))
         with pytest.raises(ValueError) as got:

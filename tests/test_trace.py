@@ -247,6 +247,24 @@ def test_a_frame_line_is_jsons_bytes_for_its_body_dicts(rows, q, orgs, step):
     assert dumps_canonical(frame_to_dict(listed), "the frame") == want
 
 
+def test_bodies_are_written_whatever_keys_sort_before_them_and_nowhere_else():
+    bodies = Bodies([5, 2], [1, 0], [0.5, -0.0], [1e16, 5e-324], [0.0, 1e-5], [2.0, 3.0],
+                    [1.0, 1.0])
+    listed = [{"id": b.id, "species": b.species, "x": b.position.x, "y": b.position.y,
+               "vx": b.velocity.x, "vy": b.velocity.y} for b in bodies]
+    for keys in (("a", "step"), ("a",), ("step",), (), ("Z", "a", "bodiez", "bodie")):
+        obj = {k: {"bodies": [k]} for k in keys}
+        want = json.dumps({**obj, "bodies": listed}, **COMPACT)
+        assert dumps_canonical({**obj, "bodies": bodies}) == want
+        assert dumps_canonical({"bodies": bodies, **obj}) == want
+    assert dumps_canonical({"bodies": bodies[:0], "a": 1}) == '{"a":1,"bodies":[]}'
+    for nested in ({"a": bodies}, [{"bodies": bodies}], {"bodies": [bodies]}):
+        with pytest.raises(TypeError, match="^Object of type Bodies is not JSON serializable$"):
+            dumps_canonical(nested)
+    with pytest.raises(DynamicsError, match="^the frame holds a non-finite number: "):
+        dumps_canonical({"a": math.nan, "bodies": bodies}, "the frame")
+
+
 @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_modularity_raises_the_dynamics_error_naming_the_frame(q):
     frame = Frame(step=3, bodies=Bodies([4], [0], [1.0], [2.0], [0.0], [0.0], [1.0]),
