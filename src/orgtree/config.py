@@ -183,6 +183,8 @@ def config_from_dict(data: Any) -> Config:
     (lox, loy), (hix, hiy) = world.box
     if not (lox < hix and loy < hiy):
         raise ConfigError(f"world.box must have positive extent, got {world.box}")
+    if not (_finite(hix - lox) and _finite(hiy - loy)):
+        raise ConfigError(f"world.box must have a finite width and height, got {world.box}")
     species_raw = data.get("species", [{}])
     if not isinstance(species_raw, list) or not species_raw:
         raise ConfigError("species must be a non-empty list")

@@ -14,8 +14,9 @@ groups a cut over arrays: each cell is an interval of Z-order codes (Warren
 neighbour finds the cut leaf that contains it, and pointer jumping
 (Shiloach & Vishkin 1982) labels the components.  On a cut both return the
 same partition for any seed, which the test suite checks against an
-independent union-find oracle.  `organizations_from` finds each group's
-leaf rows by the same intervals and reduces their body spans with numpy.
+independent union-find oracle.  `organizations_from` looks each group's
+cells up among the tree's rows (`NTree.rows_by_cell`) and reduces the leaf
+rows' body spans with numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import repeat
 from math import fsum, ldexp, nan
 from typing import Iterable
 
@@ -80,16 +81,6 @@ class Organization:
     bounding_box: AABB
 
 
-def _columns(coords: list) -> np.ndarray:
-    """The depth, ix and iy columns of the cells: int64, or Python ints in
-    object arrays when a cell lies past depth 62."""
-    try:
-        flat = np.fromiter(chain.from_iterable(coords), np.int64, 3 * len(coords))
-    except OverflowError:
-        flat = np.array(list(chain.from_iterable(coords)), dtype=object)
-    return flat.reshape(-1, 3).T
-
-
 def _spread(v: np.ndarray, width: int) -> np.ndarray:
     """Bit b of each v < 2**width moved to bit 2b; width is a power of two."""
     shift = width // 2
@@ -110,14 +101,6 @@ def _codes(d: np.ndarray, ix: np.ndarray, iy: np.ndarray, depth: int):
     width = 1 << max(depth - 1, 0).bit_length()
     zx, zy = _spread(ix.astype(kind), width), _spread(iy.astype(kind), width) << 1
     return zx, zy, 2 * (depth - d.astype(kind))
-
-
-def _intervals(d: np.ndarray, ix: np.ndarray, iy: np.ndarray, depth: int):
-    """(lo, hi): each cell's interval of Z-order codes at `depth` (_codes).
-    Cells nest exactly when their intervals do, and are otherwise disjoint.
-    """
-    zx, zy, shift = _codes(d, ix, iy, depth)
-    return (zx | zy) << shift, ((zx | zy) + 1) << shift
 
 
 def _components(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -178,10 +161,11 @@ def group_cells2(cells: CellSet, tree: NTree, seed: int = 0) -> list[frozenset[C
     those neighbours, and a smaller one finds c from its own side: the
     components are those of `cells_touch`.
 
-    The cut's leaves come depth-first and never nest, so their intervals
-    (`_intervals`) are sorted and disjoint: the last one starting at or
-    before a neighbour's first code is its only candidate.  Plain pools go
-    to `group_cells`.  `tree` and `seed` are not read; they stay for callers.
+    The cut's leaves come depth-first and never nest, so their intervals of
+    codes at the cut's depth (`_codes`) are sorted and disjoint: the last
+    one starting at or before a neighbour's first code is its only
+    candidate.  Plain pools go to `group_cells`.  `tree` and `seed` are not
+    read; they stay for callers.
     """
     if not isinstance(cells, CellSet):
         raise TypeError(f"group_cells2 takes a CellSet, not {type(cells).__name__}; "
@@ -267,40 +251,30 @@ def organizations_from(groups: Iterable[Iterable[CellCoord]],
     count, ties broken by the smallest cell coordinate, so output order is
     deterministic.
 
-    Each cell is found among the tree's leaves by its interval
-    (`_intervals`).  A cell that is neither a non-empty leaf nor an empty
-    one, the rowless child of an internal row, raises ValueError, the first
-    in group order and then in cell order.  The members come from the
-    leaves' body spans, ordered by (group, id) in one lexsort.
+    Each cell is looked up among the tree's rows (`NTree.rows_by_cell`).  A
+    cell that is neither a leaf row nor an empty leaf, a rowless child of an
+    internal row, raises ValueError, the first in group order and then in
+    cell order.  The members come from the leaf rows' body spans, ordered by
+    (group, id) in one lexsort.
     """
     cell_groups = [frozenset(g) for g in groups]
-    cells = list(chain.from_iterable(cell_groups))
+    cells = [c for g in cell_groups for c in g]
     if not cells:
         return []
     owner = np.repeat(np.arange(len(cell_groups)), [len(g) for g in cell_groups])
-    n = len(tree.first) - 1
-    leaf = tree.leaf_rows()  # in Z order, as the tree's bodies
-    d, ix, iy = _columns(cells)
-    ld, lx, ly = tree.coords[:, leaf]
-    depth = int(max(d.max(), ld.max(initial=0)))
-    llo, lhi = _intervals(ld, lx, ly, depth)
-    lhi, ld = np.append(lhi, 0), np.append(ld, -1)  # k = -1 lands on a leaf holding nothing
-    lo, hi = _intervals(d, ix, iy, depth)
-    k = np.searchsorted(llo, lo, "right") - 1
-    exact = (lhi[k] > lo) & (ld[k] == d)  # leaf k holds the cell's first point and is the cell
-    # A cell with no row is an empty leaf when no leaf meets it and one lies
-    # in its parent, which is then an internal row.  (The root, taken as its
-    # own parent here, has no row only in a tree without leaves.)
-    rest = np.flatnonzero(~exact)
-    p_lo, p_hi = _intervals(np.maximum(d[rest] - 1, 0), ix[rest] >> 1, iy[rest] >> 1, depth)
-    empty = ((lhi[k[rest]] <= lo[rest]) & (np.searchsorted(llo, hi[rest]) == k[rest] + 1)
-             & (np.searchsorted(llo, p_hi) > np.searchsorted(llo, p_lo)))
-    if not empty.all():
-        _, c = min((owner[j], cells[j]) for j in rest[~empty].tolist())
+    n, first, row = len(tree.first) - 1, tree.first, tree.rows_by_cell()
+    k = np.fromiter(map(row.get, cells, repeat(n)), np.int64, len(cells))  # n: no row
+    leaf = (k < n) & (first[k] >= n)  # k < n: the sentinel's first[n] is 0
+    rest = np.flatnonzero(~leaf).tolist()
+    parent = [row.get((d - 1, ix >> 1, iy >> 1)) for d, ix, iy in map(cells.__getitem__, rest)]
+    # A rowless cell is an empty leaf when its parent is an internal row.
+    bad = [j for j, p in zip(rest, parent) if k[j] < n or p is None or first[p] >= n]
+    if bad:
+        _, c = min((owner[j], cells[j]) for j in bad)
         raise ValueError(f"cell ({c[0]}, {c[1]}, {c[2]}) is not a leaf of the tree")
 
-    rows = leaf[k[exact]]
-    group, at = _spans(owner[exact], tree.first[rows] - n, tree.count[rows])
+    rows = k[leaf]
+    group, at = _spans(owner[leaf], first[rows] - n, tree.count[rows])
     ids = tree.id[n:][at]
     by = np.lexsort((ids, group))
     at, ids = at[by], ids[by].tolist()

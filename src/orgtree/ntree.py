@@ -13,12 +13,13 @@ which makes traversals, queries, and aggregate sums reproducible bit for bit.
 The tree is stored once, as numpy rows (see `NTree`): the non-empty nodes
 breadth-first, then the bodies depth-first (Z/Morton order; Warren & Salmon
 1993).  Barnes-Hut fields, boids neighbourhoods and detection all read these
-rows.  `radius_hits` is the one radius query over them, for many centers at
-once; `NTree.query_radius_bodies` is its one-center call.  `NTree.root`
-builds a read-only `Node` view of the rows on demand, for the SVG renderer
-and the callers that walk the tree as objects.  A node's children and a
-leaf's bodies are spans of rows, and `_spans` is the one step every build
-pass and walk expands them by.
+rows, and `NTree.rows_by_cell` is the one map from a cell to its row.
+`radius_hits` is the one radius query over them, for many centers at once;
+`NTree.query_radius_bodies` is its one-center call.  `NTree.root` builds a
+read-only `Node` view of the rows on demand, for the SVG renderer and the
+callers that walk the tree as objects.  A node's children and a leaf's
+bodies are spans of rows, and `_spans` is the one step every build pass and
+walk expands them by.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ class NTree:
         n = len(self.first) - 1
         first, count, q, cx, cy = (a.tolist() for a in (
             self.first, self.count, self.charge[:n], self.cx[:n], self.cy[:n]))
-        row = {c: k for k, c in enumerate(zip(*self.coords.tolist()))}
+        row = self.rows_by_cell()
         bodies = list(map(self.bodies.objects.__getitem__, self.order.tolist()))
         leaves: list[Node] = []
 
@@ -207,6 +208,10 @@ class NTree:
             return node
 
         return view(CellCoord(0, 0, 0), self.root_box), leaves
+
+    def rows_by_cell(self) -> dict[tuple[int, int, int], int]:
+        """Each node row's cell (depth, ix, iy), mapped to the row."""
+        return dict(zip(zip(*self.coords.tolist()), range(len(self.first) - 1)))
 
     def leaf_rows(self, min_depth: int = 0) -> np.ndarray:
         """Rows of the non-empty leaf cells at depth >= min_depth, depth-first.

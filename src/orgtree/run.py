@@ -109,7 +109,7 @@ def run_simulation(config: Config, out_dir: str | Path, steps: int) -> Path:
 def _frame_errors(trace_path: str | Path, step: int):
     try:
         yield
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:  # e.g. a repeated id
+    except (IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:  # e.g. repeated ids
         raise ConfigError(f"{trace_path}: step {step}: malformed frame: {exc!r}") from exc
 
 

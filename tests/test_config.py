@@ -69,6 +69,10 @@ MESSAGES = [
      "world.box must have positive extent, got ((0.0, 0.0), (0.0, 100.0))"),
     ("box-inverted", doc("world", {"box": [[0, 100], [100, 0]]}),
      "world.box must have positive extent, got ((0.0, 100.0), (100.0, 0.0))"),
+    ("box-infinite-width", doc("world", {"box": [[-1.7e308, 0], [1.7e308, 100]]}),
+     "world.box must have a finite width and height, got ((-1.7e+308, 0.0), (1.7e+308, 100.0))"),
+    ("box-infinite-height", doc("world", {"box": [[0, -1.7e308], [100, 1.7e308]]}),
+     "world.box must have a finite width and height, got ((0.0, -1.7e+308), (100.0, 1.7e+308))"),
     ("species-empty", doc(species=[]), "species must be a non-empty list"),
     ("species-object", doc(species={"name": "a"}), "species must be a non-empty list"),
     ("species-entry", doc(species=[{"name": "a"}, 5]), "species[1] must be an object"),

@@ -294,6 +294,9 @@ class TestLeafCells:
         expected = {n.coord: tuple(x.id for x in n.bodies)
                     for n in tree.leaves() if n.count > 0}
         assert cells == expected
+        rows = tree.rows_by_cell()
+        assert len(rows) == len(tree.first) - 1
+        assert all(rows[c] == k for k, c in enumerate(tree.cell_coords(np.arange(len(rows)))))
 
     def test_min_depth_cut_is_inclusive(self):
         tree, _ = uniform_tree(150, seed=3, capacity=3)

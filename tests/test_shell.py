@@ -663,9 +663,12 @@ def test_malformed_trace_exits_1_naming_trace_and_step(tmp_path, capsys, command
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("organizations", [5, [{"id": 1}], [{"id": 1, "cells": [[-1, 0, 0]],
-                                                             "members": [], "centroid": [0, 0],
-                                                             "bbox": [[0, 0], [1, 1]]}]])
+ORG = {"id": 1, "cells": [[0, 0, 0]], "members": [], "centroid": [0, 0], "bbox": [[0, 0], [1, 1]]}
+
+
+@pytest.mark.parametrize("organizations", [
+    5, [{"id": 1}], [{**ORG, "cells": [[-1, 0, 0]]}],
+    [{**ORG, "centroid": [1.0]}], [{**ORG, "bbox": [[0, 0], [1]]}]])
 def test_render_of_malformed_organizations_exits_1(tmp_path, capsys, organizations):
     path = run_simulation(config_from_dict(SMALL_CONFIG), tmp_path, steps=0)
     header, frame = path.read_text(encoding="utf-8").splitlines()
