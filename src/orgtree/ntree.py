@@ -315,7 +315,10 @@ def build_tree(bodies, root_box: AABB, capacity: int, max_depth: int = 24) -> NT
         right = x[inside] >= (lo.x + (2 * ix + 1) * w)[owner]
         up = y[inside] >= (lo.y + (2 * iy + 1) * h)[owner]
         cell = owner * 4 + right + 2 * up  # (split cell, child) in child order
-        perm[at] = inside[np.argsort(cell, kind="stable")]
+        # numpy's stable argsort of 16-bit keys is a radix sort; a stable
+        # sort's permutation depends only on the key values.
+        key = cell.astype(np.uint16) if 4 * len(size) <= 1 << 16 else cell
+        perm[at] = inside[np.argsort(key, kind="stable")]
         kids = np.bincount(cell, minlength=4 * len(size))
         fans.append(np.count_nonzero(kids.reshape(-1, 4), axis=1))
         ix = (2 * ix[:, None] + [0, 1, 0, 1]).reshape(-1)[kids > 0]

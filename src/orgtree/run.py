@@ -9,6 +9,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .boids import WorldState, make_world, step_world
 from .config import Config, config_from_dict
 from .detect import CellSet, Organization, group_cells2, organizations_from
@@ -32,21 +34,27 @@ FIELD_MAX_BODIES = 2 ** 15
 def place_bodies(config: Config) -> Bodies:
     """Per-species uniform disk placement, driven by each species' own seed.
 
-    Bodies get sequential ids across species in declaration order and start
-    at rest.
+    Each body takes two `random.Random(sp.seed).random()` draws, radius
+    first, made as whole columns: one getrandbits call gives the generator's
+    32-bit words in order, and each pair (a, b) is CPython's draw
+    ((a >> 5) * 2**26 + (b >> 6)) / 2**53, exact in float64.  cos and sin stay
+    on math's libm functions, which numpy's need not equal.  Bodies get
+    sequential ids across species in declaration order and start at rest.
     """
-    species, charge, x, y = [], [], [], []
-    for index, sp in enumerate(config.species):
-        rng = random.Random(sp.seed)
-        cx, cy = sp.center
-        for _ in range(sp.count):
-            r = sp.radius * math.sqrt(rng.random())
-            angle = 2.0 * math.pi * rng.random()
-            x.append(cx + r * math.cos(angle))
-            y.append(cy + r * math.sin(angle))
-        species += [index] * sp.count
-        charge += [sp.charge] * sp.count
-    return Bodies(range(len(x)), species, x, y, [0.0] * len(x), [0.0] * len(x), charge)
+    x, y = [], []
+    for sp in config.species:
+        n = 2 * sp.count  # uniforms
+        words = random.Random(sp.seed).getrandbits(64 * n).to_bytes(8 * n, "little")
+        a, b = np.frombuffer(words, "<u4").reshape(-1, 2).T
+        u = ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
+        r, angle = sp.radius * np.sqrt(u[0::2]), ((2.0 * math.pi) * u[1::2]).tolist()
+        x.append(sp.center[0] + r * np.fromiter(map(math.cos, angle), float, sp.count))
+        y.append(sp.center[1] + r * np.fromiter(map(math.sin, angle), float, sp.count))
+    counts = [sp.count for sp in config.species]
+    at_rest = np.zeros(sum(counts))
+    return Bodies(np.arange(len(at_rest)), np.repeat(np.arange(len(counts)), counts),
+                  np.concatenate(x), np.concatenate(y), at_rest, at_rest,
+                  np.repeat([sp.charge for sp in config.species], counts))
 
 
 def detect_organizations(tree: NTree, depth: int, min_org_size: int = 1,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -29,7 +30,7 @@ from orgtree.geometry import AABB, CellCoord, Vec2, cell_box, cells_touch, child
 from orgtree.kernels import KernelParams
 from orgtree.metrics import (INVERSE_EPSILON, TRANSFORM_GAUSSIAN,
                              TRANSFORM_INVERSE)
-from orgtree.ntree import Body, Node, build_tree
+from orgtree.ntree import Bodies, Body, Node, build_tree
 from orgtree.trace import TRACE_VERSION
 
 
@@ -812,6 +813,24 @@ def frame_at_reference(frames, step: int) -> dict[str, Any]:
         if frame.get("step") == step:
             return frame
     raise ConfigError(f"trace has no frame for step {step}")
+
+
+def place_bodies_loop(config) -> Bodies:
+    """Per-species uniform disk placement, one body and two random() draws
+    at a time: the reference for run.place_bodies, which draws whole columns.
+    """
+    species, charge, x, y = [], [], [], []
+    for index, sp in enumerate(config.species):
+        rng = random.Random(sp.seed)
+        cx, cy = sp.center
+        for _ in range(sp.count):
+            r = sp.radius * math.sqrt(rng.random())
+            angle = 2.0 * math.pi * rng.random()
+            x.append(cx + r * math.cos(angle))
+            y.append(cy + r * math.sin(angle))
+        species += [index] * sp.count
+        charge += [sp.charge] * sp.count
+    return Bodies(range(len(x)), species, x, y, [0.0] * len(x), [0.0] * len(x), charge)
 
 
 # Test entry points: one-target views of the batched code under test, not

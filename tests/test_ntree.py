@@ -91,6 +91,25 @@ def test_build_equals_the_recursive_reference(seed, n, capacity, max_depth, box)
     assert_same_node(tree.root, root)
 
 
+def test_a_level_of_more_than_2_16_keys_equals_the_recursive_reference():
+    # Two bodies in each of 129 x 128 unit cells (depth 8 of a 256-wide box)
+    # at capacity 1: the depth-8 level splits 16,512 cells, so its partition
+    # keys run past 16 bits.
+    box = AABB(Vec2(0.0, 0.0), Vec2(256.0, 256.0))
+    spots = [(ix + f, iy + f) for ix in range(129) for iy in range(128) for f in (0.25, 0.75)]
+    random.Random(8).shuffle(spots)
+    bodies = [b(i, x, y, (1.0, -0.5, 2.5)[i % 3]) for i, (x, y) in enumerate(spots)]
+    tree = build_tree(bodies, box, 1)
+    n = len(tree.first) - 1
+    assert 4 * np.count_nonzero((tree.first[:n] < n) & (tree.coords[0] == 8)) > 1 << 16
+    want = flatten_reference(build_reference(bodies, box, 1, 24), bodies)
+    for key in ("box", "cx", "cy", "charge"):
+        assert same_floats(getattr(tree, key), want[key]), key
+    for key in ("first", "count", "coords", "id"):
+        assert np.array_equal(getattr(tree, key), want[key]), key
+    assert [tree.bodies[i] for i in tree.order.tolist()] == want["bodies"]
+
+
 def test_a_pile_at_max_depth_sums_like_the_recursive_reference():
     # 3,000 coincident bodies with signed charges fill one leaf at max_depth,
     # beside 300 spread ones: the leaf sums run over the whole pile in order.

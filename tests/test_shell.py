@@ -2,12 +2,19 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
-from oracles import interaction_weights_reference, modularity_reference
+from oracles import interaction_weights_reference, modularity_reference, place_bodies_loop
 from orgtree import run
 from orgtree.cli import main
 from orgtree.config import config_from_dict, load_config, override
@@ -124,6 +131,54 @@ class TestPlacement:
         a = place_bodies(cfg)
         b = place_bodies(cfg)
         assert a == b
+
+
+SEEDS = [0, 1, -7, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 3, 10 ** 30]
+# Centres and radii in tenths and hundredths, so almost none is a binary fraction.
+SPECIES_ENTRY = st.fixed_dictionaries({
+    "count": st.sampled_from([0, 1, 3, 7, 33, 101]),
+    "seed": st.sampled_from(SEEDS),
+    "center": st.tuples(st.integers(-400, 400), st.integers(-400, 400)).map(
+        lambda c: [c[0] / 10, c[1] / 10]),
+    "radius": st.integers(0, 5000).map(lambda r: r / 100),
+    "charge": st.integers(-2000, 2000).map(lambda q: q / 300),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SPECIES_ENTRY, min_size=1, max_size=4))
+def test_placement_equals_the_loop_column_by_column(species):
+    cfg = config_from_dict({"world": {"box": [[-100.0, -100.0], [100.0, 100.0]]},
+                            "species": species, "kernels": {"mode": "coulomb"}})
+    got, want = place_bodies(cfg), place_bodies_loop(cfg)
+    for name in ("id", "species"):
+        assert getattr(got, name).dtype == np.int64
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("x", "y", "vx", "vy", "charge"):
+        bits = [getattr(side, name).view(np.int64) for side in (got, want)]
+        assert np.array_equal(*bits), name
+
+
+def test_the_commands_never_import_numpy_random(tmp_path):
+    # Importing numpy.random adds about 5 MiB to a process's peak RSS, over a
+    # tenth of the 43 MiB a field benchmark run peaks at.
+    config = write_config(tmp_path, SMALL_CONFIG)
+    script = ("import sys\n"
+              "from orgtree.cli import main\n"
+              "config, out = sys.argv[1:]\n"
+              "assert main(['simulate', '--config', config, '--steps', '2', '--metrics',"
+              " '--out', out]) == 0\n"
+              "assert main(['field', '--config', config, '--out', out]) == 0\n"
+              "assert main(['detect', '--trace', out + '/trace.jsonl', '--step', '2',"
+              " '--depth', '3']) == 0\n"
+              "print('numpy.random' in sys.modules)\n")
+    src = str(Path(run.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 class TestTraceOutput:
