@@ -189,8 +189,8 @@ def config_from_dict(data: Any) -> Config:
     if not isinstance(species_raw, list) or not species_raw:
         raise ConfigError("species must be a non-empty list")
     species = tuple(_species(entry, i, world) for i, entry in enumerate(species_raw))
-    # `simulate --steps 0` with 2**20 bodies peaks at 739 MiB resident and
-    # takes 7.8 s (one core of a 2-vCPU x86-64 host).
+    # `simulate --steps 0` with 2**20 bodies peaks at 424 MiB resident and
+    # takes 5.6-6.6 s (one core of a 2-vCPU x86-64 host).
     total = sum(sp.count for sp in species)
     if total > 2 ** 20:
         raise ConfigError(f"species counts must total at most {2 ** 20}, got {total}")

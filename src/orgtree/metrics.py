@@ -7,10 +7,10 @@ Raw distances invert that meaning and reward spread-out groups; the raw
 transform is kept for experiments but the inverse transform is the default.
 
 A graph from `interaction_graph` holds only the N x 2 positions.  Weights
-are symmetric bit for bit, so only the strict upper triangle is computed,
-_BLOCK_ROWS rows at a time, and `modularity` reduces each block to per-node
-row and column sums: memory is O(N * _BLOCK_ROWS).  The dense N x N matrix
-is built, by mirroring the same blocks, only when a caller reads `.weights`.
+are symmetric bit for bit, so only the strict upper triangle is computed, in
+blocks of rows of about _BLOCK_WEIGHTS weights, and `modularity` reduces each
+block to per-node row and column sums: memory is O(N + _BLOCK_WEIGHTS).  The
+dense N x N matrix is built, by mirroring the blocks, only when read (`.weights`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ TRANSFORM_RAW = "raw"
 TRANSFORMS = (TRANSFORM_INVERSE, TRANSFORM_GAUSSIAN, TRANSFORM_RAW)
 
 INVERSE_EPSILON = 1e-9
-_BLOCK_ROWS = 64  # weight rows filled per block
+_BLOCK_WEIGHTS = 1 << 16  # weights filled per block of whole rows, of at least one row
 
 
 class WeightedGraph:
@@ -67,21 +67,21 @@ class WeightedGraph:
         return w
 
     def _row_blocks(self, order: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, rows) per block of _BLOCK_ROWS upper-triangle weight rows.
+        """(lo, rows) per block of upper-triangle weight rows.
 
         Nodes are taken in `order`: the rows of block [lo, hi) hold the
         weights between nodes order[lo:hi] and order[lo:], with every entry
-        on or below the diagonal set to 0.0.  Blocks are gathered from the
-        dense matrix when the graph holds one, and otherwise computed into a
-        buffer that the next block overwrites.
+        on or below the diagonal set to 0.0, and max(1, _BLOCK_WEIGHTS // (n - lo))
+        rows.  Blocks are gathered from the dense matrix when the graph holds
+        one, and otherwise computed into a buffer that the next block overwrites.
         """
         n, dense = self.n, vars(self).get("weights")
-        low = np.tri(min(n, _BLOCK_ROWS), dtype=bool)  # on or below the diagonal
         if dense is None:
             x, y = (np.ascontiguousarray(self.positions[order, k]) for k in (0, 1))
-            buf = np.empty((2, min(n, _BLOCK_ROWS) * n))
-        for lo in range(0, n, _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, n)
+            buf = np.empty((2, min(n * n, max(_BLOCK_WEIGHTS, n))))
+        hi = 0
+        while hi < n:
+            lo, hi = hi, min(n, hi + max(1, _BLOCK_WEIGHTS // (n - hi)))
             if dense is not None:
                 rows = dense[np.ix_(order[lo:hi], order[lo:])]
             else:
@@ -107,7 +107,7 @@ class WeightedGraph:
                     np.negative(rows, out=rows)
                     rows /= 2.0 * self.sigma * self.sigma
                     np.exp(rows, out=rows)
-            rows[:, :hi - lo][low[:hi - lo, :hi - lo]] = 0.0
+            rows[:, :hi - lo][np.tri(hi - lo, dtype=bool)] = 0.0  # on or below the diagonal
             yield lo, rows
 
 
@@ -144,7 +144,7 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[int]]) -> floa
     order: ce over the earlier groups, saved and restarted at the group's
     first row, and co over its own group's earlier members.  A node's
     own-group sum is uo + co and its degree (uo + ul) + (ce + co); W and the
-    group sums are math.fsum over those.  No sum depends on _BLOCK_ROWS, and
+    group sums are math.fsum over those.  No sum depends on the block shape, and
     a single group covering every node has intra = incident = W bit for bit,
     so it scores exactly 0.0.
     """

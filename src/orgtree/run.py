@@ -21,7 +21,7 @@ from .metrics import interaction_graph, modularity, organization_partition
 from .ntree import Bodies, NTree, build_tree
 from .svg import render_svg
 from .trace import (Frame, bodies_from_frame_dict, dumps_canonical,
-                    frame_to_dict, header_dict, organization_from_dict,
+                    frame_to_dict, header_dict, iter_canonical, organization_from_dict,
                     organization_to_dict, read_trace)
 
 TRACE_NAME = "trace.jsonl"
@@ -80,7 +80,8 @@ def _emit_frame(state: WorldState, config: Config, out_dir: Path, fh) -> None:
         q = modularity(graph, organization_partition(orgs, len(state.bodies)))
     frame = Frame(step=state.step, bodies=state.bodies,
                   organizations=tuple(orgs), modularity=q)
-    fh.write(dumps_canonical(frame_to_dict(frame), f"the frame of step {state.step}") + "\n")
+    fh.writelines(iter_canonical(frame_to_dict(frame), f"the frame of step {state.step}"))
+    fh.write("\n")
     svg_every = config.output.svg_every
     if svg_every > 0 and state.step % svg_every == 0:
         svg_path = out_dir / f"frame_{state.step:06d}.svg"

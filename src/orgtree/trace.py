@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .detect import Organization
 from .errors import ConfigError, DynamicsError
@@ -24,6 +24,7 @@ _TAIL_BYTES = 64
 # 18 digits, in compact or spaced separators.
 _STEP_TAIL = re.compile(rb'[{,][ \t]*"step"[ \t]*:[ \t]*(0|[1-9]\d{0,17})[ \t]*}[ \t]*\Z')
 _BODY = '{"id":%d,"species":%d,"vx":%r,"vy":%r,"x":%r,"y":%r}'  # keys sorted, floats as json
+_CHUNK_ROWS = 4096  # body rows per piece of iter_canonical
 
 
 @dataclass(frozen=True)
@@ -34,25 +35,36 @@ class Frame:
     modularity: float | None = None
 
 
-def dumps_canonical(obj: Any, what: str = "output") -> str:
-    """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`.
+def iter_canonical(obj: Any, what: str = "output") -> Iterator[str]:
+    """The pieces of `dumps_canonical(obj, what)`, in order.
 
     A Bodies under a dict's key "bodies", as frame_to_dict puts it, is written
     from its columns by _BODY, whose %r is json's float.__repr__: the same
-    bytes, as the columns are finite.  The keys sorting before and after
-    "bodies" are written on their own; a Bodies anywhere else is json's TypeError.
+    bytes, as the columns are finite, _CHUNK_ROWS rows to a piece.  The keys
+    sorting before and after it are encoded first, so their errors come before
+    any piece; a Bodies anywhere else is json's TypeError.
     """
     b = obj.get("bodies") if isinstance(obj, dict) else None
-    if isinstance(b, Bodies):
-        rows = zip(*(c.tolist() for c in (b.id, b.species, b.vx, b.vy, b.x, b.y)))
-        parts = (dumps_canonical({k: obj[k] for k in obj if k < "bodies"}, what)[1:-1],
-                 '"bodies":[' + ",".join(map(_BODY.__mod__, rows)) + "]",
-                 dumps_canonical({k: obj[k] for k in obj if k > "bodies"}, what)[1:-1])
-        return "{" + ",".join(filter(None, parts)) + "}"
-    try:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    except ValueError as exc:
-        raise DynamicsError(f"{what} holds a non-finite number: {exc}") from exc
+    if not isinstance(b, Bodies):
+        try:
+            text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        except ValueError as exc:
+            raise DynamicsError(f"{what} holds a non-finite number: {exc}") from exc
+        yield text
+        return
+    head = dumps_canonical({k: obj[k] for k in obj if k < "bodies"}, what)[1:-1]
+    tail = dumps_canonical({k: obj[k] for k in obj if k > "bodies"}, what)[1:-1]
+    yield "{" + head + ("," if head else "") + '"bodies":['
+    columns = (b.id, b.species, b.vx, b.vy, b.x, b.y)
+    for a in range(0, len(b), _CHUNK_ROWS):
+        rows = zip(*(c[a:a + _CHUNK_ROWS].tolist() for c in columns))
+        yield ("," if a else "") + ",".join(map(_BODY.__mod__, rows))
+    yield "]" + ("," if tail else "") + tail + "}"
+
+
+def dumps_canonical(obj: Any, what: str = "output") -> str:
+    """Canonical JSON; a NaN or infinity in `obj` raises DynamicsError naming `what`."""
+    return "".join(iter_canonical(obj, what))
 
 
 def header_dict(config_dict: dict[str, Any]) -> dict[str, Any]:
@@ -102,16 +114,18 @@ def bodies_from_frame_dict(data: dict[str, Any]) -> Bodies:
     return Bodies(*(zip(*rows) if rows else [()] * 6), [1.0] * len(rows))
 
 
-def _decode(path: Path, lineno: int, line: bytes) -> Any:
+def _decode(path: Path, lineno: int, fh, span: tuple[int, int]) -> Any:
+    """The line at span (offset, length) of the open trace `fh`, decoded."""
+    fh.seek(span[0])
     try:
-        return json.loads(line)
+        return json.loads(fh.read(span[1]))
     except ValueError as exc:  # not JSON or not UTF-8, or an integer over the digit limit
         why = getattr(exc, "msg", exc)  # a JSONDecodeError's message without its position
         raise ConfigError(f"{path}:{lineno}: malformed trace line: {why}") from exc
 
 
-def _decode_frame(path: Path, lineno: int, line: bytes) -> dict[str, Any]:
-    frame = _decode(path, lineno, line)
+def _decode_frame(path: Path, lineno: int, fh, span: tuple[int, int]) -> dict[str, Any]:
+    frame = _decode(path, lineno, fh, span)
     if not isinstance(frame, dict):
         raise ConfigError(f"{path}:{lineno}: frame line is not an object")
     return frame
@@ -122,6 +136,25 @@ def _tail_step(line: bytes) -> int | None:
     read from its last _TAIL_BYTES bytes without decoding it; else None."""
     match = _STEP_TAIL.search(line, max(0, len(line) - _TAIL_BYTES))
     return None if match is None else int(match[1])
+
+
+def _line_spans(fh) -> Iterator[tuple[int, int, bytes]]:
+    r"""(offset, length, last _TAIL_BYTES bytes) of each line, read a block at a time: no
+    line is held whole.  Lines end as in bytes.splitlines (\r\n, \r or \n); a length omits it."""
+    start, length, tail, held = 0, 0, b"", b""  # the open line, and a \r held back
+    while True:
+        data = fh.read(1 << 16)
+        block, held = held + (data or b"\n"), b""  # at the end, a \n closes the last line
+        if block.endswith(b"\r"):  # it may start a \r\n
+            block, held = block[:-1], b"\r"
+        for part in block.splitlines(keepends=True):
+            text = part.rstrip(b"\r\n")
+            length, tail = length + len(text), (tail + text)[-_TAIL_BYTES:]
+            if len(text) < len(part):
+                yield start, length, tail
+                start, length, tail = start + length + len(part) - len(text), 0, b""
+        if not data:
+            return
 
 
 @dataclass(frozen=True)
@@ -140,14 +173,11 @@ class TraceData:
     def _frame(self, lineno: int, step: int | None, line: Any) -> dict[str, Any]:
         if step is None:
             return line
-        offset, length = line
         try:
             with self.path.open("rb") as fh:
-                fh.seek(offset)
-                line = fh.read(length)
+                frame = _decode_frame(self.path, lineno, fh, line)
         except OSError as exc:
             raise ConfigError(f"cannot read trace {self.path}: {exc}") from exc
-        frame = _decode_frame(self.path, lineno, line)
         if frame.get("step") != step:
             raise ConfigError(f"{self.path}:{lineno}: frame step {frame.get('step')!r} "
                               f"differs from its line's tail, {step}")
@@ -169,30 +199,24 @@ class TraceData:
 def read_trace(path: str | Path) -> TraceData:
     """Decode a trace's header and every frame line whose step its tail does not give.
 
-    A frame line whose tail gives its step is kept as its byte span, so the
-    read holds one line at a time.  A malformed line whose tail gives a step
+    Only the lines decoded here are read whole, one at a time; any other frame
+    line is kept as its byte span.  A malformed line whose tail gives a step
     is reported only when its frame is asked for, or when `frames` is read.
     """
     path = Path(path)
-    numbered, offset = [], 0  # (line number, step, span or bytes) of the non-blank lines
-    try:  # line by line; lines end as in splitlines, each line's end one of \r\n, \r, \n
-        with path.open("rb", buffering=1 << 16) as fh:  # frame lines run to 100s of KiB
-            parts = (part for raw in fh for part in raw.splitlines(keepends=True))
-            for lineno, part in enumerate(parts, start=1):
-                line = part.rstrip(b"\r\n")
-                step = _tail_step(line) if numbered else None  # the header is decoded
-                if line:
-                    numbered.append((lineno, step, line if step is None else (offset, len(line))))
-                offset += len(part)
-                del part, line  # hold no line's bytes while the next is read
+    try:
+        with path.open("rb") as fh:
+            numbered = [(n, _tail_step(tail), (offset, length))  # the non-blank lines
+                        for n, (offset, length, tail) in enumerate(_line_spans(fh), start=1)
+                        if length]
+            if not numbered:
+                raise ConfigError(f"{path}: empty trace")
+            (lineno, _, span), *frames = numbered
+            header = _decode(path, lineno, fh, span)
+            lines = tuple((n, step, span if step is not None else _decode_frame(path, n, fh, span))
+                          for n, step, span in frames)
     except OSError as exc:
         raise ConfigError(f"cannot read trace {path}: {exc}") from exc
-    if not numbered:
-        raise ConfigError(f"{path}: empty trace")
-    (lineno, _, line), *frames = numbered
-    header = _decode(path, lineno, line)
-    lines = tuple((n, step, line if step is not None else _decode_frame(path, n, line))
-                  for n, step, line in frames)
     if not isinstance(header, dict) or "config" not in header or "version" not in header:
         raise ConfigError(f"{path}: first line is not a trace header")
     if header["version"] != TRACE_VERSION:

@@ -91,9 +91,9 @@ class TestInteractionWeightsEqualTheReference:
                                   800, 7.0, seed=12)
         self.assert_same(bodies, transform, sigma)
 
-    @pytest.mark.parametrize("rows", [1, 3, 64, 1000])
-    def test_block_size_does_not_change_the_bits(self, monkeypatch, rows):
-        monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+    @pytest.mark.parametrize("budget", [1, 3, 64, 1000, 130 * 130])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, budget):
+        monkeypatch.setattr(metrics, "_BLOCK_WEIGHTS", budget)
         bodies = uniform_bodies(130, seed=6, box=BOX_100)
         for transform, sigma in TRANSFORM_CASES:
             self.assert_same(bodies, transform, sigma)
@@ -235,8 +235,8 @@ class TestBlockwiseModularity:
         cases = [(graph, p) for transform, sigma in TRANSFORM_CASES
                  for graph in both_graphs(bodies, transform, sigma) for p in partitions]
         want = [modularity(graph, p).hex() for graph, p in cases]
-        for rows in (1, 3, 64, 1000):
-            monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+        for budget in (1, 3, 64, 1000, 130 * 130):
+            monkeypatch.setattr(metrics, "_BLOCK_WEIGHTS", budget)
             assert [modularity(graph, p).hex() for graph, p in cases] == want
 
     def test_memory_stays_far_below_the_matrix(self):
@@ -264,9 +264,22 @@ class TestBlockwiseModularity:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4
 
-    @pytest.mark.parametrize("rows", [1, 5, 64, 200])
-    def test_each_pair_weight_is_computed_once(self, monkeypatch, rows):
-        monkeypatch.setattr(metrics, "_BLOCK_ROWS", rows)
+    def test_scratch_is_bounded_by_the_block_budget(self):
+        """Blocks of about _BLOCK_WEIGHTS weights, not of whole 8,000-wide rows."""
+        n = 8000
+        bodies = uniform_bodies(n, seed=9, box=BOX_100)
+        tracemalloc.start()
+        try:
+            graph = interaction_graph(bodies)
+            modularity(graph, [range(0, n, 2), range(1, n, 2)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("budget", [1, 5, 64, 200, 131 * 131])
+    def test_each_pair_weight_is_computed_once(self, monkeypatch, budget):
+        monkeypatch.setattr(metrics, "_BLOCK_WEIGHTS", budget)
         blocks = WeightedGraph._row_blocks
         entries = []
 
@@ -277,13 +290,19 @@ class TestBlockwiseModularity:
 
         monkeypatch.setattr(WeightedGraph, "_row_blocks", counted)
         n = 131
+        # Each block of h rows holds its pairs and the h * (h + 1) / 2 entries
+        # of its square on or below the diagonal.
+        squares, lo = 0, 0
+        while lo < n:
+            h = min(n - lo, max(1, budget // (n - lo)))
+            squares, lo = squares + h * (h + 1) // 2, lo + h
         bodies = uniform_bodies(n, seed=8, box=BOX_100)
         detected = detected_partition(bodies, 2, 4)
         for graph in both_graphs(bodies):
             for partition in (detected, [range(n)], [[i] for i in range(n)]):
                 entries.clear()
                 modularity(graph, partition)
-                assert sum(entries) <= n * (n - 1) // 2 + n * rows
+                assert sum(entries) <= n * (n - 1) // 2 + squares
 
 
 @st.composite
@@ -311,8 +330,8 @@ def test_upper_triangle_modularity_on_random_partitions(scene, case):
     graphs = both_graphs(bodies, *case)
     want = modularity_reference(graphs[1].weights, partition)
     hexes = set()
-    for rows in (1, 2, 5, 64, n + 1):
-        with mock.patch.object(metrics, "_BLOCK_ROWS", rows):
+    for budget in (1, 7, 50, 300, n * n):
+        with mock.patch.object(metrics, "_BLOCK_WEIGHTS", budget):
             for graph in graphs:
                 q = modularity(graph, partition)
                 assert abs(q - want) <= 1e-12

@@ -181,6 +181,41 @@ def test_the_commands_never_import_numpy_random(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's VmHWM")
+def test_simulate_of_2_18_bodies_stays_within_its_memory(tmp_path):
+    """Neither the frame's line nor a block of whole modularity rows grows with
+    N: `simulate --steps 0` of 2^18 bodies peaks at about 127 MiB resident
+    (225 MiB when the frame line was built whole), and its trace keeps its bytes.
+
+    The child reports its own high-water mark, VmHWM: its ru_maxrss would
+    also count the test process's, which exec carries over to the child."""
+    half = 2 ** 17
+    config = write_config(tmp_path, {
+        "seed": 1, "world": {"box": [[0.0, 0.0], [500.0, 500.0]]},
+        "species": [{"name": "a", "count": half, "center": [150.0, 250.0], "radius": 125.0,
+                     "seed": 1},
+                    {"name": "b", "count": half, "center": [350.0, 250.0], "radius": 125.0,
+                     "seed": 2}],
+        "detection": {"depth": 7}})
+    script = ("import sys\n"
+              "from orgtree.cli import main\n"
+              "code = main(['simulate', '--config', sys.argv[1], '--steps', '0',"
+              " '--out', sys.argv[2]])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(code, *[line.split()[1] for line in fh if line.startswith('VmHWM:')])\n")
+    src = str(Path(run.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", script, str(config), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, peak_kib = map(int, done.stdout.split()[-2:])
+    assert code == 0
+    assert peak_kib <= 170 * 1024
+    digest = hashlib.sha256((tmp_path / "out" / "trace.jsonl").read_bytes()).hexdigest()
+    assert digest == "f6947915cbc6734bf834da9f3ec4b045318a4ac299ea4bb5710f429dcde2c742"
+
+
 class TestTraceOutput:
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = config_from_dict(SMALL_CONFIG)

@@ -1,16 +1,22 @@
 """read_trace decodes the header and the frames asked for, and agrees with the
 eager reader of tests/oracles.py on every frame and every error text."""
 
+import io
 import json
 import math
+import random
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import frame_at_reference, read_trace_reference
-from orgtree import trace
+from orgtree import run, trace
+from orgtree.boids import make_world
+from orgtree.config import config_from_dict
 from orgtree.detect import Organization
 from orgtree.errors import ConfigError, DynamicsError
 from orgtree.geometry import AABB, CellCoord, Vec2
@@ -205,6 +211,25 @@ def test_a_read_of_the_last_frame_peaks_at_a_few_frames(tmp_path):
     assert peak - (held - indexed) < 5 * frame_bytes
 
 
+def test_a_read_never_holds_a_long_frame_line_whole(tmp_path):
+    """read_trace scans the file a block at a time and keeps a frame line whose
+    tail gives its step as its span, so a line of megabytes is never held."""
+    head = dumps(HEADER, COMPACT)
+    line = dumps(dict(frame(0), bodies=frame(0)["bodies"] * 45000), COMPACT)
+    path = write(tmp_path, [head, line])
+    line_bytes = len(line)
+    del line
+    tracemalloc.start()
+    try:
+        data = read_trace(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert line_bytes > 7 * 10 ** 6
+    assert data.header == HEADER and data.lines == ((2, 0, (len(head) + 1, line_bytes)),)
+    assert peak < 1.25 * line_bytes
+
+
 def test_a_trace_that_cannot_be_read_again_is_a_config_error(tmp_path):
     path = write(tmp_path, [dumps(HEADER, COMPACT), dumps(frame(0), COMPACT)])
     data = read_trace(path)
@@ -286,3 +311,72 @@ def test_a_non_finite_body_column_is_the_bodies_value_error(column):
     frame = Frame(step=0, bodies=[b], organizations=())
     with pytest.raises(ValueError, match="^body 8 has a non-finite component$"):
         dumps_canonical(frame_to_dict(frame))
+
+
+CHUNK = trace._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("orgs, q", [(False, None), (True, 0.25)])
+def test_the_pieces_of_a_frame_join_to_jsons_line(n, orgs, q):
+    rng = random.Random(n)
+    floats = [[rng.uniform(-100.0, 100.0) for _ in range(n)] for _ in range(4)]
+    bodies = Bodies(range(n), [i % 3 for i in range(n)], *floats, [1.0] * n)
+    frame = Frame(step=5, bodies=bodies, organizations=(ORG,) if orgs else (), modularity=q)
+    pieces = list(trace.iter_canonical(frame_to_dict(frame), "the frame"))
+    assert "".join(pieces) == json.dumps(body_dicts_frame(frame), **COMPACT)
+    assert len(pieces) == 2 + -(-n // CHUNK)  # the keys around the rows, and one per chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(BODY_ROWS, st.one_of(st.none(), FLOATS), st.booleans(), st.integers(1, 4))
+def test_pieces_crossing_small_chunks_join_to_jsons_line(rows, q, orgs, chunk):
+    ids, species, x, y, vx, vy = zip(*rows) if rows else [()] * 6
+    bodies = Bodies(ids, species, x, y, vx, vy, [1.0] * len(rows))
+    frame = Frame(step=3, bodies=bodies, organizations=(ORG,) if orgs else (), modularity=q)
+    with mock.patch.object(trace, "_CHUNK_ROWS", chunk):
+        pieces = list(trace.iter_canonical(frame_to_dict(frame)))
+    assert "".join(pieces) == json.dumps(body_dicts_frame(frame), **COMPACT)
+    assert len(pieces) == 2 + -(-len(rows) // chunk)
+
+
+def small_config(metrics):
+    return config_from_dict({
+        "seed": 9, "world": {"box": [[0.0, 0.0], [100.0, 100.0]], "capacity": 5},
+        "species": [{"name": "a", "count": 15, "center": [30.0, 30.0], "radius": 6.0},
+                    {"name": "b", "count": 15, "center": [70.0, 70.0], "radius": 6.0}],
+        "detection": {"depth": 3}, "output": {"svg_every": 0, "metrics": metrics}})
+
+
+def test_a_non_finite_modularity_stops_a_frame_before_its_first_byte(tmp_path, monkeypatch):
+    config = small_config(metrics=True)
+    state = make_world(run.place_bodies(config), config.sim_params())
+    monkeypatch.setattr(run, "modularity", lambda graph, partition: math.nan)
+    fh = io.StringIO()
+    fh.write("before\n")
+    with pytest.raises(DynamicsError, match="^the frame of step 0 holds a non-finite number: "):
+        run._emit_frame(state, config, tmp_path, fh)
+    assert fh.getvalue() == "before\n"
+
+
+def test_a_large_frame_is_written_without_its_whole_line(tmp_path, monkeypatch):
+    """_emit_frame writes the pieces of iter_canonical: the 65,536 rows of
+    about 110 bytes are never one string, nor their column lists whole."""
+    n = 1 << 16
+    rng = random.Random(5)
+    floats = [[rng.uniform(0.0, 100.0) for _ in range(n)] for _ in range(4)]
+    bodies = Bodies(range(n), [i % 2 for i in range(n)], *floats, [1.0] * n)
+    del floats
+    monkeypatch.setattr(run, "detect_organizations", lambda *args: [])
+    state, config = SimpleNamespace(step=0, bodies=bodies, tree=None), small_config(metrics=False)
+    path = tmp_path / "frame.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            run._emit_frame(state, config, tmp_path, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    want = json.dumps(body_dicts_frame(Frame(step=0, bodies=bodies, organizations=())), **COMPACT)
+    assert path.read_text(encoding="utf-8") == want + "\n"
+    assert peak < 4 * 2 ** 20
